@@ -14,7 +14,8 @@ attached in one step with :meth:`Classification.place`.
 
 Membership is owned by the :class:`ClassificationManager`, which persists
 it in the schema's metadata record, so classifications survive reopening
-the database.
+the database.  The stored payload is built when a commit assembles that
+record (``Schema.meta_sources``), not on every edge edit.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ class Classification:
         self._parents.setdefault(edge.destination_oid, set()).add(
             edge.origin_oid
         )
-        self._manager._note_membership(self.name, edge.oid, added=True)
 
     def remove_edge(self, edge: RelationshipInstance | int) -> None:
         """Detach an edge from this classification (the edge survives)."""
@@ -107,7 +107,6 @@ class Classification:
             return
         self._edge_oids.discard(oid)
         self._rebuild_adjacency()
-        self._manager._note_membership(self.name, oid, added=False)
 
     def place(
         self,
@@ -177,7 +176,6 @@ class Classification:
                 stale.append(oid)
         for oid in stale:
             self._edge_oids.discard(oid)
-            self._manager._note_membership(self.name, oid, added=False)
         if stale:
             self._rebuild_adjacency()
         return result
@@ -295,7 +293,8 @@ class ClassificationManager:
     def __init__(self, schema: "Schema") -> None:
         self.schema = schema
         self._classifications: dict[str, Classification] = {}
-        self._load()
+        schema.meta_sources[_EXTRAS_KEY] = self.to_storable
+        self.reload()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -318,7 +317,7 @@ class ClassificationManager:
             description=description,
         )
         self._classifications[name] = classification
-        self._save()
+        self._mark_stored()
         return classification
 
     def get(self, name: str) -> Classification:
@@ -353,7 +352,7 @@ class ClassificationManager:
                 if owners == [classification]:
                     self.schema.unrelate(edge)
         del self._classifications[name]
-        self._save()
+        self._mark_stored()
 
     # -- overlap queries -----------------------------------------------------
 
@@ -377,28 +376,28 @@ class ClassificationManager:
 
     # -- persistence ------------------------------------------------------------
 
-    def _note_membership(self, name: str, edge_oid: int, added: bool) -> None:
-        self._save()
+    def _mark_stored(self) -> None:
+        """Claim the metadata-record entry the next flush fills in."""
+        self.schema.meta_extras.setdefault(_EXTRAS_KEY, [])
 
-    def _save(self) -> None:
-        payload = []
-        for name in sorted(self._classifications):
-            c = self._classifications[name]
-            payload.append(
-                {
-                    "name": c.name,
-                    "author": c.author,
-                    "year": c.year,
-                    "publication": c.publication,
-                    "description": c.description,
-                    "edges": sorted(c._edge_oids),
-                }
-            )
-        self.schema.meta_extras[_EXTRAS_KEY] = payload
+    def to_storable(self) -> list[dict[str, Any]]:
+        """Every classification with its provenance and sorted edge OIDs."""
+        return [
+            {
+                "name": c.name,
+                "author": c.author,
+                "year": c.year,
+                "publication": c.publication,
+                "description": c.description,
+                "edges": sorted(c._edge_oids),
+            }
+            for c in self
+        ]
 
-    def _load(self) -> None:
-        payload = self.schema.meta_extras.get(_EXTRAS_KEY, [])
-        for item in payload:
+    def reload(self) -> None:
+        """Rebuild the registry from the schema's metadata record."""
+        self._classifications.clear()
+        for item in self.schema.meta_extras.get(_EXTRAS_KEY, []):
             classification = Classification(
                 self,
                 item["name"],

@@ -84,9 +84,13 @@ class TraceLog:
 
     def __init__(self, schema: "Schema") -> None:
         self._schema = schema
+        self.reload()
+
+    def reload(self) -> None:
+        """Re-read the journal from the schema's metadata record."""
         # The storable list lives inside meta_extras and is appended to in
         # place, so recording stays O(1) regardless of journal length.
-        self._stored: list[dict] = schema.meta_extras.setdefault(
+        self._stored: list[dict] = self._schema.meta_extras.setdefault(
             _EXTRAS_KEY, []
         )
         self._entries: list[TraceEntry] = [

@@ -318,18 +318,14 @@ class Shell:
                 self.emit("live reads (no as_of pinned)")
             else:
                 self.emit(f"queries run as of lsn {self._as_of}")
-            if self.db.mvcc is not None:
-                self.emit(
-                    f"retained window: lsn {self.db.mvcc.floor} .. "
-                    f"{self.db.lsn}"
-                )
+            self.emit(
+                f"retained window: lsn {self.db.mvcc.floor} .. "
+                f"{self.db.lsn}"
+            )
             return
         if args[0].lower() == "off":
             self._as_of = None
             self.emit("back to live reads")
-            return
-        if self.db.mvcc is None:
-            self.emit("error: this database was opened without MVCC")
             return
         try:
             lsn = int(args[0])

@@ -32,18 +32,18 @@ Commit pipeline (per transaction, under the commit lock):
 3. publish ``BEFORE_COMMIT``: the transaction's own deferred rules run;
    a violation rolls back just this scope ("abort the whole
    transaction", §5.2.2) and re-raises;
-4. flush the touched objects to the store (commit marker appended,
-   fsync deferred), stamp versions with a fresh commit timestamp,
-   append the flushed records to the version chains at the commit LSN
-   and publish the new ``(ts, lsn)`` snapshot pair, then
-   ``AFTER_COMMIT``;
+4. flush the touched objects through :meth:`Schema.flush` (commit
+   marker appended, fsync deferred), stamp versions with a fresh
+   commit timestamp, append the flushed records to the version chains
+   at the commit LSN and publish the new ``(ts, lsn)`` snapshot pair
+   (:meth:`_publish`), then ``AFTER_COMMIT``;
 5. release the lock, then wait on the group-commit gate for
    durability.
 
 The *implicit session* (direct schema mutations + ``db.commit()``)
 stays supported: :meth:`commit_implicit` routes it through the same
-commit lock and version table so managed transactions detect conflicts
-with it too.
+commit lock, version table, flush and :meth:`_publish`, so managed
+transactions detect conflicts with it too.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..core.events import Event, EventKind
-from ..core.schema import Schema, TxnScope
+from ..core.schema import Flushed, Schema
 from ..errors import ConflictError, SchemaError, TransactionError
 from ..telemetry import DISABLED, NULL_SPAN, Telemetry
 from .transaction import Transaction, TxnState
@@ -94,15 +94,16 @@ class TransactionManager:
             deferred-rule queue to the committing transaction.
         store: the persistent store, if any — used for group commit.
         telemetry: facade for txn metrics and ``txn.commit`` spans.
+        mvcc: the version chains every commit appends to.
     """
 
     def __init__(
         self,
         schema: Schema,
+        mvcc: "MvccStore",
         rules: "RuleEngine | None" = None,
         store: "ObjectStore | None" = None,
         telemetry: Telemetry | None = None,
-        mvcc: "MvccStore | None" = None,
     ) -> None:
         self.schema = schema
         self.rules = rules
@@ -123,8 +124,10 @@ class TransactionManager:
         # sees the whole commit or none of it.
         base_lsn = store.commit_lsn if store is not None else 0
         self._published: tuple[int, int] = (0, base_lsn)
-        if mvcc is not None and store is not None:
+        if store is not None:
             mvcc.gc.note_head(base_lsn)
+        # A bare ``schema.commit()`` is this manager's implicit commit.
+        schema.committer = self.commit_implicit
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -176,17 +179,14 @@ class TransactionManager:
             txn_id = self._txn_counter
             self._active += 1
             self.stats.begun += 1
-        snapshot_ts, snapshot_lsn = self._published
-        pin = None
-        if self.mvcc is not None:
-            while True:
-                snapshot_ts, snapshot_lsn = self._published
-                pin = self.mvcc.pin(snapshot_lsn)
-                if pin is not None:
-                    break
-                # GC advanced its floor past the pair we read — only
-                # possible when commits raced us, so a fresh read of the
-                # published pair makes progress.
+        while True:
+            snapshot_ts, snapshot_lsn = self._published
+            pin = self.mvcc.pin(snapshot_lsn)
+            if pin is not None:
+                break
+            # GC advanced its floor past the pair we read — only
+            # possible when commits raced us, so a fresh read of the
+            # published pair makes progress.
         tel = self.telemetry
         if tel.enabled:
             tel.registry.gauge(
@@ -303,15 +303,9 @@ class TransactionManager:
             try:
                 self._clock += 1
                 ts = self._clock
-                durability_token, records, deletes = self._flush(scope)
-                if self.store is not None:
-                    # Still under the commit lock, so this is exactly
-                    # this transaction's marker offset — the LSN a
-                    # session needs for read-your-writes routing.
-                    txn.commit_lsn = self.store.commit_lsn
-                    lsn = txn.commit_lsn
-                else:
-                    lsn = ts  # in-memory: the clock is the LSN domain
+                durability_token, records, deletes, _ = self.schema.flush(
+                    scope.touched
+                )
                 # Stamp both what the replay journalled AND the txn's
                 # declared write set: relationship endpoints are written
                 # logically (their edge sets change) without their own
@@ -319,12 +313,12 @@ class TransactionManager:
                 # conflict.
                 for oid in set(scope.touched) | set(txn._write_versions):
                     self._versions[oid] = ts
-                if self.mvcc is not None:
-                    # Chains first, then the atomic (ts, lsn) publish:
-                    # a transaction beginning at this snapshot must be
-                    # able to resolve every version the pair implies.
-                    self.mvcc.apply_commit(lsn, records, deletes)
-                self._published = (ts, lsn)
+                lsn = self._publish(ts, records, deletes)
+                if self.store is not None:
+                    # Still under the commit lock, so this is exactly
+                    # this transaction's marker offset — the LSN a
+                    # session needs for read-your-writes routing.
+                    txn.commit_lsn = lsn
                 self.schema.events.publish(Event(kind=EventKind.AFTER_COMMIT))
             finally:
                 self._finish_scope()
@@ -344,10 +338,9 @@ class TransactionManager:
             )
             with wait_span:
                 self.store.wait_durable(durability_token)
-        if self.mvcc is not None:
-            # Amortized GC outside the commit lock: prune versions no
-            # pinned snapshot can reach anymore.
-            self.mvcc.maybe_gc()
+        # Amortized GC outside the commit lock: prune versions no
+        # pinned snapshot can reach anymore.
+        self.mvcc.maybe_gc()
         return ts
 
     def _finish_scope(self) -> None:
@@ -414,114 +407,57 @@ class TransactionManager:
             else:  # pragma: no cover - staging guards op kinds
                 raise SchemaError(f"unknown replay op {op.kind!r}")
 
-    def _flush(
-        self, scope: TxnScope
-    ) -> tuple[int | None, dict[int, dict[str, Any]], list[int]]:
-        """Write the scope's touched objects.
+    def _publish(
+        self,
+        ts: int,
+        records: "dict[int, dict[str, Any]]",
+        deletes: "list[int]",
+        meta: "dict[str, Any] | None" = None,
+    ) -> int:
+        """Append one commit's flushed records to the version chains and
+        publish its ``(ts, lsn)`` pair; returns the LSN.
 
-        Returns ``(token, records, deletes)``: the group-commit
-        durability token (when the fsync was deferred to the store's
-        gate), plus the flushed storage records and tombstoned OIDs —
-        the exact payload the MVCC chains append at the commit LSN, so
-        the records are serialized once and shared by reference.
+        The only place either happens, for managed and implicit commits
+        alike.  Chains first, then the atomic publish: a transaction
+        beginning at this snapshot must be able to resolve every
+        version the pair implies.  The metadata record rides along when
+        the flush wrote one — that is how classification membership
+        gets its version history.  Caller holds the commit lock.
         """
-        schema = self.schema
-        writes = {
-            oid: obj
-            for oid, obj in scope.touched.items()
-            if oid in schema._dirty
-        }
-        deletes = [
-            oid for oid in scope.touched if oid in schema._pending_deletes
-        ]
-        records: dict[int, dict[str, Any]] = {}
-        if self.store is not None or self.mvcc is not None:
-            for oid, obj in writes.items():
-                records[oid] = schema._to_record(obj)
-        token: int | None = None
-        if self.store is not None and (writes or deletes):
-            store_txn = self.store.begin()
-            try:
-                for oid, record in records.items():
-                    store_txn.write(oid, record)
-                for oid in deletes:
-                    if oid in self.store:
-                        store_txn.delete(oid)
-                token = store_txn.commit(defer_sync=True)
-            except BaseException:
-                if store_txn.active:
-                    store_txn.abort()
-                raise
-        for oid, obj in writes.items():
-            obj._mark_clean()
-            schema._dirty.pop(oid, None)
-        for oid in deletes:
-            schema._pending_deletes.pop(oid, None)
-        return token, records, deletes
+        # In-memory databases have no log: the clock is the LSN domain.
+        lsn = self.store.commit_lsn if self.store is not None else ts
+        if meta is not None:
+            records = {**records, self.schema.meta_oid: meta}
+        self.mvcc.apply_commit(lsn, records, deletes)
+        self._published = (ts, lsn)
+        return lsn
 
     # -- the implicit session ----------------------------------------------
 
-    def commit_implicit(self) -> None:
+    def commit_implicit(self) -> Flushed:
         """Commit direct (non-managed) schema mutations.
 
-        Runs the legacy :meth:`Schema.commit` under the commit lock and
-        stamps versions for everything it flushed, so managed
-        transactions racing the implicit session still conflict.  The
-        clock is bumped *before* the schema commit: the schema's MVCC
-        sink (:meth:`ingest_implicit`) publishes the new ``(ts, lsn)``
-        pair as soon as the chains hold the commit's versions.
+        Runs :meth:`Schema.commit` under the commit lock and stamps
+        versions for everything it flushed, so managed transactions
+        racing the implicit session still conflict.  Also what a bare
+        ``schema.commit()`` runs (``Schema.committer``).  Returns what
+        was flushed.
         """
         with self._commit_lock:
-            touched = set(self.schema._dirty) | set(
-                self.schema._pending_deletes
-            )
+            flushed = self.schema.commit(_locked=True)
+            _, records, deletes, meta = flushed
             # Meta-only commits (classification edits, synonym changes)
             # must advance the clock too: the in-memory LSN domain *is*
             # the clock, and two different meta states may never share
             # one LSN in the version chains.
-            if touched or self.schema._meta_dirty():
+            if records or deletes or meta is not None:
                 self._clock += 1
-            self.schema.commit()
-            if touched:
-                for oid in touched:
-                    self._versions[oid] = self._clock
-            # The schema's MVCC sink already published; this is the
-            # no-sink (chains disabled) fallback, and is idempotent.
-            lsn = (
-                self.store.commit_lsn
-                if self.store is not None
-                else self._clock
-            )
-            self._published = (self._clock, max(lsn, self._published[1]))
-
-    def ingest_implicit(
-        self,
-        records: "dict[int, dict[str, Any]]",
-        deletes: "list[int]",
-        meta: "tuple[int, dict[str, Any]] | None",
-    ) -> None:
-        """MVCC sink for :meth:`Schema.commit` (``Schema._mvcc_sink``).
-
-        Appends the implicit session's flushed records — and the schema
-        metadata record, which is how classification membership gets
-        its version history — to the chains, then publishes the new
-        snapshot pair.  Also covers code that calls ``schema.commit()``
-        directly without going through :meth:`commit_implicit`: those
-        commits do not bump the conflict clock (exactly as before
-        MVCC), but snapshot readers still see their data.
-        """
-        if self.mvcc is None:
-            return
-        lsn = (
-            self.store.commit_lsn if self.store is not None else self._clock
-        )
-        writes = dict(records)
-        if meta is not None:
-            writes[meta[0]] = meta[1]
-        if writes or deletes:
-            self.mvcc.apply_commit(lsn, writes, deletes)
-        self._published = (self._clock, max(lsn, self._published[1]))
+            ts = self._clock
+            for oid in (*records, *deletes):
+                self._versions[oid] = ts
+            self._publish(ts, records, deletes, meta)
         self.mvcc.maybe_gc()
+        return flushed
 
     # -- introspection ------------------------------------------------------
 

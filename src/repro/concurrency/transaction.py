@@ -178,18 +178,14 @@ class Transaction:
         Returns the record dict, raises :class:`UnknownOidError` when
         the chain proves the object absent at the snapshot (deleted, or
         created after it), or returns the ``_LIVE`` sentinel when the
-        chains cannot answer: no MVCC store, an untracked OID, or an
-        OID with uncommitted implicit-session changes — those keep the
-        pre-MVCC locked live read so direct schema mutations stay
-        read-your-writes for the implicit session.
+        chains cannot answer: an untracked OID, or an OID with
+        uncommitted implicit-session changes — those keep the locked
+        live read so direct schema mutations stay read-your-writes for
+        the implicit session.
         """
-        mvcc = self._manager.mvcc
-        if mvcc is None:
+        if self._schema.is_pending(oid):
             return _LIVE
-        schema = self._schema
-        if oid in schema._dirty or oid in schema._pending_deletes:
-            return _LIVE
-        tracked, record = mvcc.lookup(oid, self.snapshot_lsn)
+        tracked, record = self._manager.mvcc.lookup(oid, self.snapshot_lsn)
         if not tracked:
             return _LIVE
         if record is None:

@@ -17,11 +17,18 @@ Persistence model: schema *definitions* live in application code (the
 ODMG ODL role); the store holds *instances* only.  ``commit()`` writes all
 dirty objects and tombstones in one storage transaction; ``abort()``
 rolls back in-memory state via the journal.
+
+This module is also the whole boundary between live objects and stored
+records: :meth:`ObjectTable.install` / :meth:`ObjectTable.evict` are the
+one way records become objects, :meth:`Schema.flush` the one way objects
+become records, and the metadata record's class name is spelled nowhere
+else.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from collections import defaultdict
+from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import (
     InstanceDeletedError,
@@ -46,10 +53,13 @@ from .relationships import (
 from .synonyms import SynonymRegistry
 from .types import RefType
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
-
 _META_CLASS = "__meta__"
+
+#: What one flush wrote: ``(durability token, records by OID, tombstoned
+#: OIDs, metadata record)`` — see :meth:`Schema.flush`.
+Flushed = tuple[
+    int | None, dict[int, dict[str, Any]], list[int], dict[str, Any] | None
+]
 
 
 class _Journal:
@@ -106,7 +116,228 @@ class TxnScope:
         self.journal.rollback()
 
 
-class Schema:
+class ObjectTable:
+    """Stored records as live objects: the one records → objects path.
+
+    Owns the object table, the extents, the relationship registry and
+    what the metadata record carries (synonyms and ``meta_extras``).
+    :meth:`install` and :meth:`evict` are the only way a stored record
+    becomes (or stops being) a live handle: boot, replica apply,
+    ``as_of`` views, the shard union view and rebalance moves all call
+    them.  Both are event-free and undo-free — the change they mirror
+    already ran its rules wherever it was first made.
+
+    :class:`Schema` adds class registration, mutation and commit on
+    top; :class:`~repro.mvcc.view.SnapshotSchema` is the read-only
+    point-in-time variant.
+    """
+
+    def __init__(
+        self, name: str, classes_of: "ObjectTable | None" = None
+    ) -> None:
+        self.name = name
+        self.events = EventBus()
+        self.synonyms = SynonymRegistry()
+        #: Free-form storable payloads persisted with the schema metadata
+        #: record; higher layers (classifications, views) keep their
+        #: registries here.
+        self.meta_extras: dict[str, Any] = {}
+        #: ``meta_extras`` key -> payload builder, for higher layers
+        #: whose registry is too large to re-serialise on every edit:
+        #: they put the key into ``meta_extras`` once and each flush
+        #: fills it in (see :meth:`Schema._meta_record`).
+        self.meta_sources: dict[str, Callable[[], Any]] = {}
+        self.relationships = RelationshipRegistry(self)  # type: ignore[arg-type]
+        #: Shared with ``classes_of`` when given: a point-in-time view
+        #: resolves classes through the live schema's registry.
+        self._classes: dict[str, PClass] = (
+            {} if classes_of is None else classes_of._classes
+        )
+        self._objects: dict[int, PObject] = {}
+        self._extents: defaultdict[str, set[int]] = defaultdict(set)
+        self._meta_oid: int | None = None
+
+    # ------------------------------------------------------------------
+    # class registry (read side)
+    # ------------------------------------------------------------------
+
+    def get_class(self, name: str) -> PClass:
+        try:
+            return self._classes[name]
+        except KeyError:
+            raise SchemaError(f"unknown class {name!r}") from None
+
+    def has_class(self, name: str) -> bool:
+        return name in self._classes
+
+    def classes(self) -> Iterator[PClass]:
+        return iter(self._classes.values())
+
+    def relationship_classes(self) -> Iterator[RelationshipClass]:
+        for klass in self._classes.values():
+            if isinstance(klass, RelationshipClass):
+                yield klass
+
+    # ------------------------------------------------------------------
+    # object table and extents (read side)
+    # ------------------------------------------------------------------
+
+    def get_object(self, oid: int) -> PObject:
+        """Return the live handle for ``oid``."""
+        try:
+            obj = self._objects[oid]
+        except KeyError:
+            raise UnknownOidError(oid) from None
+        if obj.deleted:
+            raise InstanceDeletedError(f"object {oid} is deleted")
+        return obj
+
+    def has_object(self, oid: int) -> bool:
+        obj = self._objects.get(oid)
+        return obj is not None and not obj.deleted
+
+    def extent(self, class_name: str, polymorphic: bool = True) -> list[PObject]:
+        """Instances of ``class_name`` (and subclasses unless disabled)."""
+        pclass = self.get_class(class_name)
+        oids: set[int] = set()
+        if polymorphic:
+            for klass in pclass.descendants():
+                oids |= self._extents.get(klass.name, set())
+        else:
+            oids |= self._extents.get(class_name, set())
+        return [self._objects[oid] for oid in sorted(oids) if oid in self._objects]
+
+    def count(self, class_name: str, polymorphic: bool = True) -> int:
+        pclass = self.get_class(class_name)
+        if polymorphic:
+            return sum(
+                len(self._extents.get(k.name, ())) for k in pclass.descendants()
+            )
+        return len(self._extents.get(class_name, ()))
+
+    def all_objects(self) -> Iterator[PObject]:
+        for oid in sorted(self._objects):
+            yield self._objects[oid]
+
+    # ------------------------------------------------------------------
+    # records <-> live objects
+    # ------------------------------------------------------------------
+
+    def to_record(self, obj: PObject) -> dict[str, Any]:
+        """The storable record of one live object."""
+        values: dict[str, Any] = {}
+        for name, attr in obj.pclass.all_attributes().items():
+            raw = obj._values.get(name)
+            values[name] = attr.type_spec.to_storable(raw)
+        record: dict[str, Any] = {"class": obj.pclass.name, "values": values}
+        if isinstance(obj, RelationshipInstance):
+            record[ORIGIN_KEY] = obj.origin_oid
+            record[DESTINATION_KEY] = obj.destination_oid
+            if obj.participant_oids:
+                record[PARTICIPANTS_KEY] = dict(obj.participant_oids)
+        return record
+
+    def from_record(self, oid: int, record: dict[str, Any]) -> PObject:
+        """A detached handle for one stored record (not yet installed)."""
+        pclass = self.get_class(record["class"])
+        values: dict[str, Any] = {}
+        for name, attr in pclass.all_attributes().items():
+            raw = record["values"].get(name)
+            if isinstance(attr.type_spec, RefType):
+                values[name] = raw  # keep OidRef; resolve via get_ref
+            else:
+                values[name] = attr.type_spec.from_storable(raw, self)
+        if isinstance(pclass, RelationshipClass):
+            stored_participants = record.get(PARTICIPANTS_KEY) or {}
+            return RelationshipInstance(
+                oid,
+                pclass,
+                self,  # type: ignore[arg-type]
+                values,
+                origin_oid=int(record[ORIGIN_KEY]),
+                destination_oid=int(record[DESTINATION_KEY]),
+                participant_oids={
+                    str(role): int(p_oid)
+                    for role, p_oid in stored_participants.items()
+                },
+            )
+        return PObject(oid, pclass, self, values)  # type: ignore[arg-type]
+
+    def _admit(self, obj: PObject) -> None:
+        self._objects[obj.oid] = obj
+        self._extents[obj.pclass.name].add(obj.oid)
+        if isinstance(obj, RelationshipInstance):
+            self.relationships.index(obj)
+
+    def _expel(self, obj: PObject) -> None:
+        self._objects.pop(obj.oid, None)
+        self._extents[obj.pclass.name].discard(obj.oid)
+        if isinstance(obj, RelationshipInstance):
+            self.relationships.unindex(obj)
+        obj._mark_deleted()
+
+    def install(self, oid: int, record: dict[str, Any]) -> PObject | None:
+        """Make stored ``record`` the live state of ``oid``.
+
+        Replaces whatever handle ``oid`` had before.  Returns the new
+        handle, or None when the record is the schema metadata record —
+        that one replaces the synonym registry and ``meta_extras``.
+        """
+        if record.get("class") == _META_CLASS:
+            self._meta_oid = oid
+            self.synonyms = SynonymRegistry()
+            self.synonyms.load_storable(record.get("synonyms", []))
+            self.meta_extras.clear()
+            extras = record.get("extras", {})
+            if isinstance(extras, dict):
+                self.meta_extras.update(extras)
+            return None
+        obj = self.from_record(oid, record)
+        old = self._objects.get(oid)
+        if old is not None:
+            self._expel(old)
+        self._admit(obj)
+        return obj
+
+    def evict(self, oid: int) -> PObject | None:
+        """Drop ``oid`` from the live state, synonym membership
+        included; returns the dead handle (None when ``oid`` was not an
+        installed object)."""
+        if oid == self._meta_oid:
+            self._meta_oid = None
+        obj = self._objects.get(oid)
+        if obj is None:
+            return None
+        self._expel(obj)
+        self.synonyms.forget(oid)
+        return obj
+
+    def install_all(self, items: Iterable[tuple[int, dict[str, Any]]]) -> int:
+        """Install every ``(oid, record)``; returns the objects installed
+        (the metadata record does not count)."""
+        install = self.install
+        installed = 0
+        for oid, record in items:
+            if install(oid, record) is not None:
+                installed += 1
+        return installed
+
+    def clear(self) -> None:
+        """Forget every installed object and the metadata record."""
+        for oid in list(self._objects):
+            self.evict(oid)
+        self.synonyms = SynonymRegistry()
+        self.meta_extras.clear()
+        self._meta_oid = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return (
+            f"<{type(self).__name__} {self.name}: {len(self._classes)} "
+            f"classes, {len(self._objects)} objects>"
+        )
+
+
+class Schema(ObjectTable):
     """A live Prometheus database session.
 
     Args:
@@ -116,48 +347,30 @@ class Schema:
     """
 
     def __init__(self, store: ObjectStore | None = None, name: str = "db") -> None:
-        self.name = name
+        super().__init__(name)
         self.store = store
-        self.events = EventBus()
-        self.synonyms = SynonymRegistry()
-        #: Free-form storable payloads persisted with the schema metadata
-        #: record; higher layers (classifications, views) keep their
-        #: registries here.
-        self.meta_extras: dict[str, Any] = {}
         #: Bumped on every class registration; part of the query-plan
         #: cache key so cached plans never survive schema evolution.
         self.version = 0
-        self.relationships = RelationshipRegistry(self)
-        self._classes: dict[str, PClass] = {}
-        self._objects: dict[int, PObject] = {}
-        self._extents: dict[str, set[int]] = {}
         self._dirty: dict[int, PObject] = {}
         self._pending_deletes: dict[int, PObject] = {}
         self._journal = _Journal()
         self._scope: TxnScope | None = None
+        #: The engine's implicit-session commit (commit lock, version
+        #: stamps, version chains); set by its transaction manager.
+        #: :meth:`commit` hands over to it, so a bare ``schema.commit()``
+        #: is as visible to snapshots as ``PrometheusDB.commit``.
+        self.committer: Callable[[], Flushed] | None = None
         self._allocator = OidAllocator()
-        self._meta_oid: int | None = None
-        #: MVCC hook (set by the engine): called after every implicit
-        #: commit with ``(records, deleted_oids, (meta_oid, meta_record)
-        #: | None)`` so the version chains track direct schema commits
-        #: too — including ones that bypass the transaction manager.
-        self._mvcc_sink: Callable[
-            [dict[int, dict[str, Any]], list[int], tuple[int, dict[str, Any]] | None],
-            None,
-        ] | None = None
         root = PClass("Object", abstract=True, doc="ODMG inheritance root")
-        self._register_root(root)
+        root._bind(self, ())
+        self._classes[root.name] = root
         if store is not None:
             self._allocator = None  # type: ignore[assignment]  # store allocates
 
     # ------------------------------------------------------------------
     # class registry
     # ------------------------------------------------------------------
-
-    def _register_root(self, root: PClass) -> None:
-        root._bind(self, ())
-        self._classes[root.name] = root
-        self._extents[root.name] = set()
 
     def register_class(self, pclass: PClass) -> PClass:
         """Register a class (or relationship class) with the schema.
@@ -196,7 +409,6 @@ class Schema:
                     )
         pclass._bind(self, tuple(supers))
         self._classes[pclass.name] = pclass
-        self._extents[pclass.name] = set()
         self.version += 1
         return pclass
 
@@ -220,23 +432,6 @@ class Schema:
         return self.register_class(  # type: ignore[return-value]
             RelationshipClass(name, origin, destination, **kwargs)
         )
-
-    def get_class(self, name: str) -> PClass:
-        try:
-            return self._classes[name]
-        except KeyError:
-            raise SchemaError(f"unknown class {name!r}") from None
-
-    def has_class(self, name: str) -> bool:
-        return name in self._classes
-
-    def classes(self) -> Iterator[PClass]:
-        return iter(self._classes.values())
-
-    def relationship_classes(self) -> Iterator[RelationshipClass]:
-        for klass in self._classes.values():
-            if isinstance(klass, RelationshipClass):
-                yield klass
 
     # ------------------------------------------------------------------
     # OIDs
@@ -277,7 +472,7 @@ class Schema:
                 payload={"attrs": attrs},
             )
         )
-        self._install(obj)
+        self.adopt(obj)
         try:
             for name, value in attrs.items():
                 obj.set(name, value)
@@ -300,31 +495,35 @@ class Schema:
         self._record_undo(lambda: self._uninstall(obj), obj)
         return obj
 
-    def _install(self, obj: PObject) -> None:
-        self._objects[obj.oid] = obj
-        self._extents[obj.pclass.name].add(obj.oid)
+    def adopt(self, obj: PObject) -> None:
+        """Make a ready-built handle live and pending: the next commit
+        writes it.  No events, checks or undo — :meth:`create` and
+        :meth:`relate` add those; a shard installing a cross-shard edge
+        cannot check endpoints it does not hold."""
+        self._admit(obj)
         self._dirty[obj.oid] = obj
         obj._dirty = True
 
     def _uninstall(self, obj: PObject) -> None:
-        self._objects.pop(obj.oid, None)
-        self._extents[obj.pclass.name].discard(obj.oid)
+        self._expel(obj)
         self._dirty.pop(obj.oid, None)
-        obj._mark_deleted()
 
-    def get_object(self, oid: int) -> PObject:
-        """Return the live handle for ``oid``."""
-        try:
-            obj = self._objects[oid]
-        except KeyError:
-            raise UnknownOidError(oid) from None
-        if obj.deleted:
-            raise InstanceDeletedError(f"object {oid} is deleted")
+    def install(self, oid: int, record: dict[str, Any]) -> PObject | None:
+        """:meth:`ObjectTable.install`; the stored record supersedes
+        any pending change to ``oid``."""
+        obj = super().install(oid, record)
+        self._dirty.pop(oid, None)
         return obj
 
-    def has_object(self, oid: int) -> bool:
-        obj = self._objects.get(oid)
-        return obj is not None and not obj.deleted
+    def evict(self, oid: int, *, pending: bool = False) -> PObject | None:
+        """:meth:`ObjectTable.evict`; ``pending`` says the store may
+        still hold ``oid``, so the next commit tombstones it."""
+        obj = super().evict(oid)
+        if obj is not None:
+            self._dirty.pop(oid, None)
+            if pending and self._delete_needs_tracking(oid):
+                self._pending_deletes[oid] = obj
+        return obj
 
     def delete(self, obj: PObject, cascade: bool = True) -> None:
         """Delete an object, honouring lifetime dependency (§4.4.4).
@@ -376,28 +575,21 @@ class Schema:
 
         Store-backed deletions are tracked when the store still holds
         the oid (so the commit can tombstone it).  In-memory schemas
-        with an MVCC sink track every deletion: the version chains may
-        hold a committed version that needs a tombstone, and a spurious
-        tombstone for a never-committed oid reads as absence anyway.
+        with a :attr:`committer` track every deletion: its version
+        chains may hold a committed version that needs a tombstone, and
+        a spurious tombstone for a never-committed oid reads as absence
+        anyway.  A standalone in-memory schema has nobody to tell.
         """
         if self.store is not None:
             return oid in self.store
-        return self._mvcc_sink is not None
+        return self.committer is not None
 
     def _remove_object(self, obj: PObject) -> None:
-        self._extents[obj.pclass.name].discard(obj.oid)
-        self._dirty.pop(obj.oid, None)
-        if self._delete_needs_tracking(obj.oid):
-            self._pending_deletes[obj.oid] = obj
-        self._objects.pop(obj.oid, None)
-        obj._mark_deleted()
-        self.synonyms.forget(obj.oid)
+        self.evict(obj.oid, pending=True)
 
         def undo() -> None:
             obj._deleted = False
-            self._objects[obj.oid] = obj
-            self._extents[obj.pclass.name].add(obj.oid)
-            self._dirty[obj.oid] = obj
+            self.adopt(obj)
             self._pending_deletes.pop(obj.oid, None)
 
         self._record_undo(undo, obj)
@@ -454,11 +646,7 @@ class Schema:
                 role: obj.oid for role, obj in (participants or {}).items()
             },
         )
-        self._objects[oid] = rel
-        self._extents[relclass.name].add(oid)
-        self._dirty[oid] = rel
-        rel._dirty = True
-        self.relationships.index(rel)
+        self.adopt(rel)
         try:
             # Constant relationship classes still allow initial attributes.
             for name, value in attrs.items():
@@ -473,15 +661,9 @@ class Schema:
                 )
             )
         except Exception:
-            self.relationships.unindex(rel)
             self._uninstall(rel)
             raise
-
-        def undo() -> None:
-            self.relationships.unindex(rel)
-            self._uninstall(rel)
-
-        self._record_undo(undo, rel)
+        self._record_undo(lambda: self._uninstall(rel), rel)
         return rel
 
     def unrelate(self, rel: RelationshipInstance, _force: bool = False) -> None:
@@ -504,23 +686,7 @@ class Schema:
                 destination=self._objects.get(rel.destination_oid),
             )
         )
-        self.relationships.unindex(rel)
-        self._extents[rel.pclass.name].discard(rel.oid)
-        self._dirty.pop(rel.oid, None)
-        if self._delete_needs_tracking(rel.oid):
-            self._pending_deletes[rel.oid] = rel
-        self._objects.pop(rel.oid, None)
-        rel._mark_deleted()
-
-        def undo() -> None:
-            rel._deleted = False
-            self._objects[rel.oid] = rel
-            self._extents[rel.pclass.name].add(rel.oid)
-            self._dirty[rel.oid] = rel
-            self._pending_deletes.pop(rel.oid, None)
-            self.relationships.index(rel)
-
-        self._record_undo(undo, rel)
+        self._remove_object(rel)
         self.events.publish(
             Event(
                 kind=EventKind.AFTER_UNRELATE,
@@ -528,33 +694,6 @@ class Schema:
                 class_name=rel.pclass.name,
             )
         )
-
-    # ------------------------------------------------------------------
-    # extents
-    # ------------------------------------------------------------------
-
-    def extent(self, class_name: str, polymorphic: bool = True) -> list[PObject]:
-        """Instances of ``class_name`` (and subclasses unless disabled)."""
-        pclass = self.get_class(class_name)
-        oids: set[int] = set()
-        if polymorphic:
-            for klass in pclass.descendants():
-                oids |= self._extents.get(klass.name, set())
-        else:
-            oids |= self._extents.get(class_name, set())
-        return [self._objects[oid] for oid in sorted(oids) if oid in self._objects]
-
-    def count(self, class_name: str, polymorphic: bool = True) -> int:
-        pclass = self.get_class(class_name)
-        if polymorphic:
-            return sum(
-                len(self._extents.get(k.name, ())) for k in pclass.descendants()
-            )
-        return len(self._extents.get(class_name, ()))
-
-    def all_objects(self) -> Iterator[PObject]:
-        for oid in sorted(self._objects):
-            yield self._objects[oid]
 
     # ------------------------------------------------------------------
     # dirtiness / transactions
@@ -605,53 +744,92 @@ class Schema:
     def dirty_count(self) -> int:
         return len(self._dirty)
 
-    def commit(self) -> None:
+    def is_pending(self, oid: int) -> bool:
+        """Whether ``oid`` carries an uncommitted implicit-session change."""
+        return oid in self._dirty or oid in self._pending_deletes
+
+    def commit(self, *, _locked: bool = False) -> Flushed:
         """Persist all pending changes; clears the undo journal.
 
         This is the *implicit session's* commit: direct mutations made
-        through the schema API outside any managed transaction.  Managed
-        transactions commit through their
-        :class:`~repro.concurrency.TransactionManager` instead.
+        through the schema API outside any managed transaction.  Returns
+        what :meth:`flush` wrote.  On an engine database the call is
+        handed to :attr:`committer`, which takes the commit lock, calls
+        back with ``_locked`` and then stamps versions and appends the
+        version chains — ``schema.commit()`` and ``PrometheusDB.commit``
+        are the same commit.
         """
+        if self.committer is not None and not _locked:
+            return self.committer()
         if self._scope is not None:
             raise TransactionError(
                 "cannot commit the implicit session while a managed "
                 "transaction is replaying"
             )
         self.events.publish(Event(kind=EventKind.BEFORE_COMMIT))
-        sink = self._mvcc_sink
-        records: dict[int, Any] = {}
-        meta: tuple[int, dict[str, Any]] | None = None
-        changed = bool(
-            self._dirty or self._pending_deletes or self._meta_dirty()
-        )
-        if changed and (self.store is not None or sink is not None):
-            records = {
-                obj.oid: self._to_record(obj) for obj in self._dirty.values()
+        flushed = self.flush()
+        self._journal.clear()
+        self.events.publish(Event(kind=EventKind.AFTER_COMMIT))
+        return flushed
+
+    def flush(self, oids: Iterable[int] | None = None) -> Flushed:
+        """Dirty objects → records → one store transaction: the only
+        path from the object layer to the log.
+
+        With ``oids`` None (the implicit session) everything dirty is
+        written, every pending delete tombstoned and the metadata record
+        rewritten.  With ``oids`` (a managed transaction's touched set)
+        exactly those are flushed, the metadata record is left alone —
+        it grows with every classification edge — and the fsync is
+        deferred to the store's group-commit gate.
+
+        Returns ``(token, records, deletes, meta)``: the durability
+        token to hand to ``store.wait_durable`` (None unless deferred),
+        the records written by OID, the OIDs tombstoned and the
+        metadata record written (None if none) — what the version
+        chains append for this commit, serialised once and shared.  A
+        standalone in-memory schema (no store, no :attr:`committer`)
+        has no reader for them, so nothing is serialised.
+        """
+        store = self.store
+        consumed = store is not None or self.committer is not None
+        if oids is None:
+            writes = dict(self._dirty)
+            deletes = list(self._pending_deletes)
+            meta = self._meta_record() if consumed else None
+        else:
+            writes = {
+                oid: self._dirty[oid] for oid in oids if oid in self._dirty
             }
-        if self.store is not None and changed:
-            with self.store.begin() as txn:
+            deletes = [oid for oid in oids if oid in self._pending_deletes]
+            meta = None
+        records = (
+            {oid: self.to_record(obj) for oid, obj in writes.items()}
+            if consumed
+            else {}
+        )
+        token: int | None = None
+        if store is not None and (records or deletes or meta is not None):
+            txn = store.begin()
+            try:
                 for oid, record in records.items():
                     txn.write(oid, record)
-                for oid in self._pending_deletes:
-                    if oid in self.store:
+                for oid in deletes:
+                    if oid in store:
                         txn.delete(oid)
-                meta = self._write_meta(txn)
-        elif sink is not None and changed:
-            meta_record = self._meta_record()
-            if meta_record is not None:
-                if self._meta_oid is None:
-                    self._meta_oid = self._new_oid()
-                meta = (self._meta_oid, meta_record)
-        deleted = list(self._pending_deletes)
-        for obj in self._dirty.values():
+                if meta is not None:
+                    txn.write(self.meta_oid, meta)
+                token = txn.commit(defer_sync=oids is not None)
+            except BaseException:
+                if txn.active:
+                    txn.abort()
+                raise
+        for oid, obj in writes.items():
             obj._mark_clean()
-        self._dirty.clear()
-        self._pending_deletes.clear()
-        self._journal.clear()
-        if sink is not None and changed:
-            sink(records, deleted, meta)
-        self.events.publish(Event(kind=EventKind.AFTER_COMMIT))
+            del self._dirty[oid]
+        for oid in deletes:
+            del self._pending_deletes[oid]
+        return token, records, deletes, meta
 
     def abort(self) -> None:
         """Discard all pending changes, restoring in-memory state.
@@ -673,55 +851,24 @@ class Schema:
         self.events.publish(Event(kind=EventKind.AFTER_ABORT))
 
     # ------------------------------------------------------------------
-    # persistence mapping
+    # the metadata record
     # ------------------------------------------------------------------
 
-    def _to_record(self, obj: PObject) -> dict[str, Any]:
-        values: dict[str, Any] = {}
-        for name, attr in obj.pclass.all_attributes().items():
-            raw = obj._values.get(name)
-            values[name] = attr.type_spec.to_storable(raw)
-        record: dict[str, Any] = {"class": obj.pclass.name, "values": values}
-        if isinstance(obj, RelationshipInstance):
-            record[ORIGIN_KEY] = obj.origin_oid
-            record[DESTINATION_KEY] = obj.destination_oid
-            if obj.participant_oids:
-                record[PARTICIPANTS_KEY] = dict(obj.participant_oids)
-        return record
-
-    def _from_record(self, oid: int, record: dict[str, Any]) -> PObject:
-        pclass = self.get_class(record["class"])
-        values: dict[str, Any] = {}
-        for name, attr in pclass.all_attributes().items():
-            raw = record["values"].get(name)
-            if isinstance(attr.type_spec, RefType):
-                values[name] = raw  # keep OidRef; resolve via get_ref
-            else:
-                values[name] = attr.type_spec.from_storable(raw, self)
-        if isinstance(pclass, RelationshipClass):
-            stored_participants = record.get(PARTICIPANTS_KEY) or {}
-            return RelationshipInstance(
-                oid,
-                pclass,
-                self,
-                values,
-                origin_oid=int(record[ORIGIN_KEY]),
-                destination_oid=int(record[DESTINATION_KEY]),
-                participant_oids={
-                    str(role): int(p_oid)
-                    for role, p_oid in stored_participants.items()
-                },
-            )
-        return PObject(oid, pclass, self, values)
-
-    def _meta_dirty(self) -> bool:
-        return (
-            bool(self.synonyms.sets())
-            or bool(self.meta_extras)
-            or self._meta_oid is not None
-        )
+    @property
+    def meta_oid(self) -> int:
+        """OID of the metadata record (allocated on first use)."""
+        if self._meta_oid is None:
+            self._meta_oid = self._new_oid()
+        return self._meta_oid
 
     def _meta_record(self) -> dict[str, Any] | None:
+        """Synonyms + ``meta_extras`` as one record; None while there
+        has never been anything to store.  Registered
+        :attr:`meta_sources` rebuild their ``meta_extras`` entry here,
+        so their payload is serialised once per flush, not per edit."""
+        for key, build in self.meta_sources.items():
+            if key in self.meta_extras:
+                self.meta_extras[key] = build()
         data = self.synonyms.to_storable()
         if not data and not self.meta_extras and self._meta_oid is None:
             return None
@@ -731,40 +878,12 @@ class Schema:
             "extras": dict(self.meta_extras),
         }
 
-    def _write_meta(self, txn: Any) -> tuple[int, dict[str, Any]] | None:
-        record = self._meta_record()
-        if record is None:
-            return None
-        if self._meta_oid is None:
-            self._meta_oid = self.store.new_oid()  # type: ignore[union-attr]
-        txn.write(self._meta_oid, record)
-        return (self._meta_oid, record)
-
     def load_all(self) -> int:
         """Load every stored object into the session (call after classes
         are registered).  Returns the number of objects loaded."""
         if self.store is None:
             return 0
-        loaded = 0
-        relationship_instances: list[RelationshipInstance] = []
-        with self.events.muted():
-            for oid, record in self.store.items():
-                if record.get("class") == _META_CLASS:
-                    self._meta_oid = oid
-                    self.synonyms.load_storable(record.get("synonyms", []))
-                    extras = record.get("extras", {})
-                    if isinstance(extras, dict):
-                        self.meta_extras.update(extras)
-                    continue
-                obj = self._from_record(oid, record)
-                self._objects[oid] = obj
-                self._extents[obj.pclass.name].add(oid)
-                if isinstance(obj, RelationshipInstance):
-                    relationship_instances.append(obj)
-                loaded += 1
-            for rel in relationship_instances:
-                self.relationships.index(rel)
-        return loaded
+        return self.install_all(self.store.items())
 
     # ------------------------------------------------------------------
     # integrity
@@ -782,9 +901,3 @@ class Schema:
                             f"endpoint {endpoint}"
                         )
         return problems
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"<Schema {self.name}: {len(self._classes)} classes, "
-            f"{len(self._objects)} objects>"
-        )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any
+from typing import Any, Iterator
 
 from ..classification import ClassificationManager, TraceLog
 from ..concurrency import SessionManager, Transaction, TransactionManager
@@ -54,17 +54,9 @@ class PrometheusDB:
             turn all instrumentation down to one branch per hook.
         slow_query_ms: threshold for the slow-query log (None = off);
             only consulted when building the default facade.
-        planner: execute queries through the cost-based planner
-            (:mod:`repro.query.planner`); False falls back to the naive
-            AST interpreter everywhere (the differential-test reference).
         read_only: open the store as a replica — local writes raise and
             the log only grows through
             :meth:`~repro.storage.store.ObjectStore.apply_replicated`.
-        mvcc: keep per-OID version chains (:mod:`repro.mvcc`) so
-            transactions read lock-free pinned snapshots and
-            ``query(..., as_of=lsn)`` time travel works; False turns
-            the chains off (transactions fall back to locked live
-            reads; validation stays snapshot-based).
         faults: a :class:`~repro.storage.faults.FaultPlan` threaded down
             to the store's log file (crash/torn-write injection for the
             recovery and replication sweeps).
@@ -78,10 +70,8 @@ class PrometheusDB:
         sync: bool = False,
         telemetry: Telemetry | None = None,
         slow_query_ms: float | None = None,
-        planner: bool = True,
         read_only: bool = False,
         faults: Any | None = None,
-        mvcc: bool = True,
     ) -> None:
         self.telemetry = (
             telemetry
@@ -113,35 +103,34 @@ class PrometheusDB:
         self.schema.events.telemetry = self.telemetry
         self.rules = RuleEngine(self.schema, telemetry=self.telemetry)
         self.indexes = IndexManager(self.schema)
-        self.planner: Planner | None = None
-        if planner:
-            self.planner = Planner(
-                self.schema, catalog=self.indexes, telemetry=self.telemetry
-            )
-            self.planner.attach(self.schema.events)
-        self.mvcc: MvccStore | None = MvccStore() if mvcc else None
+        self.planner = Planner(
+            self.schema, catalog=self.indexes, telemetry=self.telemetry
+        )
+        self.planner.attach(self.schema.events)
+        #: Per-OID version chains (:mod:`repro.mvcc`): transactions read
+        #: lock-free pinned snapshots, ``query(..., as_of=lsn)`` travels.
+        self.mvcc = MvccStore()
         self.transactions = TransactionManager(
             self.schema,
+            self.mvcc,
             rules=self.rules,
             store=self.store,
             telemetry=self.telemetry,
-            mvcc=self.mvcc,
         )
-        if self.mvcc is not None:
-            # Direct schema.commit() calls feed the chains too.
-            self.schema._mvcc_sink = self.transactions.ingest_implicit
         #: Small LRU of materialized as_of views; each holds a GC pin.
         self._snapshot_views: dict[
             int, tuple[SnapshotSchema, Any, ClassificationManager]
         ] = {}
-        self._loaded = False
         self._classifications: ClassificationManager | None = None
         self._views: ViewManager | None = None
         self._trace: TraceLog | None = None
         self._sessions: SessionManager | None = None
         self._last_plan: QueryPlanInfo | None = None
         self._shard_map_epoch = 0  # in-memory shards: set by coordinator
-        self._wire_telemetry()
+        if self.telemetry.enabled:
+            # A disabled facade (the shared DISABLED singleton included)
+            # must not collect a reference to every database ever built.
+            self._wire_telemetry()
 
     def _wire_telemetry(self) -> None:
         """Register scrape-time collectors and seed the metric families.
@@ -191,44 +180,43 @@ class PrometheusDB:
         registry.counter(
             "repro_planner_cache_misses_total", help="Plan-cache misses"
         )
-        if self.mvcc is not None:
-            registry.gauge(
-                "repro_mvcc_pinned_snapshots",
-                help="Snapshot pins currently held (readers + cached views)",
-            )
-            registry.gauge(
-                "repro_mvcc_watermark_lsn",
-                help="Oldest pinned snapshot LSN (GC reclaim boundary)",
-            )
-            registry.gauge(
-                "repro_mvcc_floor_lsn",
-                help="Oldest LSN still materializable (history floor)",
-            )
-            registry.gauge(
-                "repro_mvcc_head_lsn", help="Newest committed snapshot LSN"
-            )
-            registry.gauge(
-                "repro_mvcc_chains", help="OIDs with a live version chain"
-            )
-            registry.gauge(
-                "repro_mvcc_versions_live",
-                help="Record versions currently held across all chains",
-            )
-            registry.counter(
-                "repro_mvcc_versions_appended_total",
-                help="Versions appended to chains since start",
-            )
-            registry.counter(
-                "repro_mvcc_versions_collected_total",
-                help="Versions reclaimed by chain GC",
-            )
-            registry.counter(
-                "repro_mvcc_gc_runs_total", help="Version-chain GC passes"
-            )
-            registry.counter(
-                "repro_mvcc_snapshot_reads_total",
-                help="Snapshot views materialized (as_of queries)",
-            )
+        registry.gauge(
+            "repro_mvcc_pinned_snapshots",
+            help="Snapshot pins currently held (readers + cached views)",
+        )
+        registry.gauge(
+            "repro_mvcc_watermark_lsn",
+            help="Oldest pinned snapshot LSN (GC reclaim boundary)",
+        )
+        registry.gauge(
+            "repro_mvcc_floor_lsn",
+            help="Oldest LSN still materializable (history floor)",
+        )
+        registry.gauge(
+            "repro_mvcc_head_lsn", help="Newest committed snapshot LSN"
+        )
+        registry.gauge(
+            "repro_mvcc_chains", help="OIDs with a live version chain"
+        )
+        registry.gauge(
+            "repro_mvcc_versions_live",
+            help="Record versions currently held across all chains",
+        )
+        registry.counter(
+            "repro_mvcc_versions_appended_total",
+            help="Versions appended to chains since start",
+        )
+        registry.counter(
+            "repro_mvcc_versions_collected_total",
+            help="Versions reclaimed by chain GC",
+        )
+        registry.counter(
+            "repro_mvcc_gc_runs_total", help="Version-chain GC passes"
+        )
+        registry.counter(
+            "repro_mvcc_snapshot_reads_total",
+            help="Snapshot views materialized (as_of queries)",
+        )
         registry.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry: Any) -> None:
@@ -300,48 +288,46 @@ class PrometheusDB:
             registry.gauge("repro_sessions_active").set(
                 self._sessions.active_count
             )
-        if self.planner is not None:
-            snap = self.planner.snapshot()
-            registry.gauge(
-                "repro_planner_cache_plans",
-                help="Plans currently held by the LRU plan cache",
-            ).set(snap["cache_size"])
-            # Reconcile from the planner's lock-protected tallies.
-            registry.counter(
-                "repro_planner_cache_hits_total"
-            ).value = snap["hits"]
-            registry.counter(
-                "repro_planner_cache_misses_total"
-            ).value = snap["misses"]
-            registry.counter(
-                "repro_planner_plans_built_total"
-            ).value = snap["built"]
-        if self.mvcc is not None:
-            snap = self.mvcc.telemetry_snapshot()
-            registry.gauge(
-                "repro_mvcc_pinned_snapshots"
-            ).set(snap["pinned_snapshots"])
-            registry.gauge(
-                "repro_mvcc_watermark_lsn"
-            ).set(snap["watermark_lsn"])
-            registry.gauge("repro_mvcc_floor_lsn").set(snap["floor_lsn"])
-            registry.gauge("repro_mvcc_head_lsn").set(snap["head_lsn"])
-            registry.gauge("repro_mvcc_chains").set(snap["chains"])
-            registry.gauge(
-                "repro_mvcc_versions_live"
-            ).set(snap["versions_live"])
-            registry.counter(
-                "repro_mvcc_versions_appended_total"
-            ).value = snap["versions_appended"]
-            registry.counter(
-                "repro_mvcc_versions_collected_total"
-            ).value = snap["versions_collected"]
-            registry.counter(
-                "repro_mvcc_gc_runs_total"
-            ).value = snap["gc_runs"]
-            registry.counter(
-                "repro_mvcc_snapshot_reads_total"
-            ).value = snap["snapshot_reads"]
+        snap = self.planner.snapshot()
+        registry.gauge(
+            "repro_planner_cache_plans",
+            help="Plans currently held by the LRU plan cache",
+        ).set(snap["cache_size"])
+        # Reconcile from the planner's lock-protected tallies.
+        registry.counter(
+            "repro_planner_cache_hits_total"
+        ).value = snap["hits"]
+        registry.counter(
+            "repro_planner_cache_misses_total"
+        ).value = snap["misses"]
+        registry.counter(
+            "repro_planner_plans_built_total"
+        ).value = snap["built"]
+        snap = self.mvcc.telemetry_snapshot()
+        registry.gauge(
+            "repro_mvcc_pinned_snapshots"
+        ).set(snap["pinned_snapshots"])
+        registry.gauge(
+            "repro_mvcc_watermark_lsn"
+        ).set(snap["watermark_lsn"])
+        registry.gauge("repro_mvcc_floor_lsn").set(snap["floor_lsn"])
+        registry.gauge("repro_mvcc_head_lsn").set(snap["head_lsn"])
+        registry.gauge("repro_mvcc_chains").set(snap["chains"])
+        registry.gauge(
+            "repro_mvcc_versions_live"
+        ).set(snap["versions_live"])
+        registry.counter(
+            "repro_mvcc_versions_appended_total"
+        ).value = snap["versions_appended"]
+        registry.counter(
+            "repro_mvcc_versions_collected_total"
+        ).value = snap["versions_collected"]
+        registry.counter(
+            "repro_mvcc_gc_runs_total"
+        ).value = snap["gc_runs"]
+        registry.counter(
+            "repro_mvcc_snapshot_reads_total"
+        ).value = snap["snapshot_reads"]
 
     # -- lifecycle --------------------------------------------------------
 
@@ -352,13 +338,31 @@ class PrometheusDB:
         current commit LSN: time-travel history starts here (the log's
         earlier offsets are not replayed), and grows with every commit.
         """
-        count = self.schema.load_all()
-        if self.mvcc is not None and self.store is not None:
-            base = self.store.commit_lsn
-            self.mvcc.seed(self.store.items(), base)
-            self.transactions.publish_floor(base)
-        self._loaded = True
-        return count
+        store = self.store
+        if store is None:
+            return 0
+        base = store.commit_lsn
+        loaded = 0
+
+        def installed() -> Iterator[tuple[int, dict[str, Any]]]:
+            # One walk of the store: each decoded record becomes a live
+            # object and the first version of its chain.
+            nonlocal loaded
+            for oid, record in store.items():
+                if self.schema.install(oid, record) is not None:
+                    loaded += 1
+                yield oid, record
+
+        self.mvcc.seed(installed(), base)
+        self.transactions.publish_floor(base)
+        # Upper layers built before the load (``TaxonomyDatabase.
+        # over_engine(db)`` first, ``db.load()`` second) re-read the
+        # metadata record that just arrived.
+        if self._classifications is not None:
+            self._classifications.reload()
+        if self._trace is not None:
+            self._trace.reload()
+        return loaded
 
     def close(self) -> None:
         self.release_snapshots()
@@ -461,8 +465,6 @@ class PrometheusDB:
         The handle keeps its LSN's versions safe from GC until
         released; use as a context manager.
         """
-        if self.mvcc is None:
-            raise SnapshotError("snapshots require mvcc=True")
         lsn = self.lsn if as_of is None else self._check_as_of(as_of)
         pin = self.mvcc.pin(lsn)
         if pin is None:
@@ -474,8 +476,6 @@ class PrometheusDB:
 
     def mvcc_gc(self) -> int:
         """Run one version-chain GC pass; returns versions collected."""
-        if self.mvcc is None:
-            return 0
         return self.mvcc.run_gc()
 
     def release_snapshots(self) -> None:
@@ -492,7 +492,7 @@ class PrometheusDB:
             raise SnapshotError(
                 f"snapshot lsn {as_of} not yet available (head is {head})"
             )
-        if self.mvcc is not None and as_of < self.mvcc.floor:
+        if as_of < self.mvcc.floor:
             raise SnapshotError(
                 f"snapshot lsn {as_of} predates retained history "
                 f"(floor {self.mvcc.floor})"
@@ -503,8 +503,6 @@ class PrometheusDB:
         self, as_of: int
     ) -> tuple[SnapshotSchema, ClassificationManager]:
         """Materialized (cached) schema view + classifications at a LSN."""
-        if self.mvcc is None:
-            raise SnapshotError("as_of queries require mvcc=True")
         as_of = self._check_as_of(as_of)
         cached = self._snapshot_views.get(as_of)
         if cached is not None:
@@ -623,11 +621,7 @@ class PrometheusDB:
                 index_probe=None,
                 telemetry=self.telemetry,
                 planner=self.planner,
-                adjacency=(
-                    AdjacencyCache(view)  # type: ignore[arg-type]
-                    if self.planner is not None
-                    else None
-                ),
+                adjacency=AdjacencyCache(view),  # type: ignore[arg-type]
                 as_of=as_of,
             )
         return QueryContext(
@@ -637,11 +631,7 @@ class PrometheusDB:
             index_probe=self.indexes.probe,
             telemetry=self.telemetry,
             planner=self.planner,
-            adjacency=(
-                AdjacencyCache(self.schema)
-                if self.planner is not None
-                else None
-            ),
+            adjacency=AdjacencyCache(self.schema),
         )
 
     @staticmethod
@@ -702,8 +692,7 @@ class PrometheusDB:
         info["indexes"] = [index.name for index in self.indexes.indexes()]
         info["rules"] = [rule.name for rule in self.rules.rules()]
         info["transactions"] = self.transactions.snapshot()
-        if self.planner is not None:
-            info["planner"] = self.planner.snapshot()
+        info["planner"] = self.planner.snapshot()
         if self._sessions is not None:
             info["sessions"] = self._sessions.snapshot()
         if self._classifications is not None:

@@ -69,7 +69,7 @@ def dump_schema(
     objects: list[dict[str, Any]] = []
     relationships: list[dict[str, Any]] = []
     for obj in schema.all_objects():
-        record = schema._to_record(obj)
+        record = schema.to_record(obj)
         entry = {
             "oid": obj.oid,
             "class": record["class"],
@@ -91,17 +91,7 @@ def dump_schema(
         "synonyms": schema.synonyms.to_storable(),
     }
     if classifications is not None:
-        document["classifications"] = [
-            {
-                "name": c.name,
-                "author": c.author,
-                "year": c.year,
-                "publication": c.publication,
-                "description": c.description,
-                "edges": sorted(c._edge_oids),
-            }
-            for c in classifications
-        ]
+        document["classifications"] = classifications.to_storable()
     return document
 
 
@@ -160,7 +150,7 @@ def load_dump(
             if pclass.abstract:
                 raise SchemaError(f"class {pclass.name!r} is abstract")
             new = PObject(schema._new_oid(), pclass, schema, pclass.defaults())
-            schema._install(new)
+            schema.adopt(new)
             schema._journal.record(
                 lambda obj=new: schema._uninstall(obj)
             )

@@ -832,13 +832,12 @@ class _Exchange:
             ) from None
 
     def _snapshot_unavailable(self, exc: SnapshotError) -> None:
-        mvcc = self.db.mvcc
         self._send(
             404,
             {
                 "error": str(exc),
                 "snapshot": "unavailable",
-                "floor": mvcc.floor if mvcc is not None else 0,
+                "floor": self.db.mvcc.floor,
                 "head": self.db.lsn,
             },
         )
@@ -992,8 +991,6 @@ class _Exchange:
         except SnapshotError as exc:
             self._snapshot_unavailable(exc)
             return
-        from ..core.schema import Schema
-
         try:
             if as_of is not None:
                 schema, _ = self.db._snapshot_view(as_of)
@@ -1006,7 +1003,7 @@ class _Exchange:
         for oid in sorted(set(oids)):
             if schema.has_object(oid):
                 obj = schema.get_object(oid)
-                records.append([oid, Schema._to_record(schema, obj)])
+                records.append([oid, schema.to_record(obj)])
         body: dict[str, Any] = {"records": records, "lsn": self.db.lsn}
         if as_of is not None:
             body["as_of"] = as_of

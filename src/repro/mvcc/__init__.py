@@ -108,7 +108,7 @@ class MvccStore:
     def view(self, live: "Schema", lsn: int) -> SnapshotSchema:
         """Materialize the object layer as of ``lsn``."""
         self.snapshot_reads += 1
-        return SnapshotSchema(live, self.versions, lsn)
+        return SnapshotSchema(live, self.versions.items_at(lsn), lsn)
 
     # -- maintenance ---------------------------------------------------------
 

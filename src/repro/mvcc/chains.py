@@ -1,7 +1,7 @@
 """Version chains: per-OID multi-version record history.
 
 Every committed write appends one :class:`Version` — the storage record
-(the same dict :meth:`Schema._to_record` produces, ``None`` for a
+(the same dict :meth:`Schema.to_record` produces, ``None`` for a
 tombstone) stamped with the commit LSN — to its OID's
 :class:`VersionChain`.  LSNs are byte offsets into the append-only log,
 so the stamp domain is shared with replication: a replica that applied

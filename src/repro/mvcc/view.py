@@ -9,30 +9,22 @@ cache and :class:`~repro.classification.ClassificationManager` consume,
 so ``db.query(..., as_of=lsn)`` and time-travel classifications run the
 ordinary machinery against historical state with no special cases.
 
-Construction walks the chains once (lock-free, see
-:mod:`repro.mvcc.chains`); after that the view is immutable and safe to
-share across threads and cache across queries.
+Construction installs the given records once (for ``as_of`` reads, one
+lock-free walk of the chains, see :mod:`repro.mvcc.chains`); after that
+the view is immutable and safe to share across threads and cache across
+queries.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable
 
-from ..core.events import EventBus
-from ..core.relationships import (
-    RelationshipClass,
-    RelationshipInstance,
-    RelationshipRegistry,
-)
-from ..core.schema import _META_CLASS, Schema
-from ..core.synonyms import SynonymRegistry
+from ..core.schema import ObjectTable, Schema
 from ..core.types import RefType
-from ..errors import SchemaError, UnknownOidError
+from ..errors import SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.classes import PClass
     from ..core.instances import PObject
-    from .chains import VersionStore
 
 
 def record_values(schema: Any, record: dict[str, Any]) -> dict[str, Any]:
@@ -54,101 +46,30 @@ def record_values(schema: Any, record: dict[str, Any]) -> dict[str, Any]:
     return values
 
 
-class SnapshotSchema:
+class SnapshotSchema(ObjectTable):
     """Read-only object layer reconstructed at one snapshot LSN.
 
-    Duck-compatible with :class:`~repro.core.schema.Schema` for every
-    read path the query and classification layers use.  Mutation entry
-    points are deliberately absent: time travel is read-only.
+    An :class:`~repro.core.schema.ObjectTable` filled through the same
+    ``install`` the live schema boots with, sharing the live schema's
+    (static) class registry — so, like the boot, it refuses a record
+    whose class is not registered (:class:`~repro.errors.SchemaError`).
+    Mutation entry points are deliberately absent: time travel is
+    read-only.
     """
 
-    def __init__(self, live: Schema, versions: "VersionStore", lsn: int) -> None:
-        self.name = f"{live.name}@{lsn}"
+    def __init__(
+        self,
+        live: Schema,
+        records: Iterable[tuple[int, dict[str, Any]]],
+        lsn: int,
+    ) -> None:
+        super().__init__(f"{live.name}@{lsn}", classes_of=live)
         self.as_of = lsn
         self.store = None
-        self.events = EventBus()  # nothing subscribes; satisfies handles
         #: Plan-cache stamp component: distinct from every live integer
         #: ``Schema.version`` and from every other snapshot's stamp.
         self.version = ("as_of", lsn, live.version)
-        self._classes = live._classes  # shared; class registry is static
-        self.synonyms = SynonymRegistry()
-        self.meta_extras: dict[str, Any] = {}
-        self.relationships = RelationshipRegistry(self)  # type: ignore[arg-type]
-        self._objects: dict[int, "PObject"] = {}
-        self._extents: dict[str, set[int]] = {}
-        edges: list[RelationshipInstance] = []
-        for oid, record in versions.items_at(lsn):
-            class_name = record.get("class")
-            if class_name == _META_CLASS:
-                self.synonyms.load_storable(record.get("synonyms", []))
-                extras = record.get("extras", {})
-                if isinstance(extras, dict):
-                    self.meta_extras.update(extras)
-                continue
-            if class_name not in self._classes:
-                continue  # record from a class this process never registered
-            obj = Schema._from_record(self, oid, record)  # type: ignore[arg-type]
-            self._objects[oid] = obj
-            self._extents.setdefault(obj.pclass.name, set()).add(oid)
-            if isinstance(obj, RelationshipInstance):
-                edges.append(obj)
-        for rel in edges:
-            self.relationships.index(rel)
-
-    # -- class registry (delegated) -----------------------------------------
-
-    def get_class(self, name: str) -> "PClass":
-        try:
-            return self._classes[name]
-        except KeyError:
-            raise SchemaError(f"unknown class {name!r}") from None
-
-    def has_class(self, name: str) -> bool:
-        return name in self._classes
-
-    def classes(self) -> Iterator["PClass"]:
-        return iter(self._classes.values())
-
-    def relationship_classes(self) -> Iterator[RelationshipClass]:
-        for klass in self._classes.values():
-            if isinstance(klass, RelationshipClass):
-                yield klass
-
-    # -- object table --------------------------------------------------------
-
-    def get_object(self, oid: int) -> "PObject":
-        try:
-            return self._objects[oid]
-        except KeyError:
-            raise UnknownOidError(oid) from None
-
-    def has_object(self, oid: int) -> bool:
-        return oid in self._objects
-
-    def all_objects(self) -> Iterator["PObject"]:
-        for oid in sorted(self._objects):
-            yield self._objects[oid]
-
-    def extent(self, class_name: str, polymorphic: bool = True) -> list["PObject"]:
-        pclass = self.get_class(class_name)
-        oids: set[int] = set()
-        if polymorphic:
-            for klass in pclass.descendants():
-                oids |= self._extents.get(klass.name, set())
-        else:
-            oids |= self._extents.get(class_name, set())
-        return [self._objects[oid] for oid in sorted(oids) if oid in self._objects]
-
-    def count(self, class_name: str, polymorphic: bool = True) -> int:
-        pclass = self.get_class(class_name)
-        if polymorphic:
-            return sum(
-                len(self._extents.get(k.name, ())) for k in pclass.descendants()
-            )
-        return len(self._extents.get(class_name, ()))
-
-    def __len__(self) -> int:
-        return len(self._objects)
+        self.install_all(records)
 
     # -- read-only guards ----------------------------------------------------
 
@@ -162,10 +83,4 @@ class SnapshotSchema:
         raise SchemaError(
             f"snapshot view {self.name} is read-only; "
             "mutate through the live schema"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"<SnapshotSchema {self.name}: {len(self._objects)} objects "
-            f"as of lsn {self.as_of}>"
         )

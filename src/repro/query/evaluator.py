@@ -420,7 +420,7 @@ class Evaluator:
                 yield env
                 return
             binding = query.bindings[index]
-            source = self._eval_source(binding.source, env, query)
+            source = self._eval_source(binding.source, env)
             for value in source:
                 child = dict(env)
                 child[binding.variable] = value
@@ -428,19 +428,12 @@ class Evaluator:
 
         yield from expand(0, dict(outer_env))
 
-    def _eval_source(
-        self, source: Node, env: dict[str, Any], query: SelectQuery
-    ) -> list[Any]:
-        # An extent name used as a source gets the index fast path when
-        # the WHERE clause is a simple equality on that binding.
+    def _eval_source(self, source: Node, env: dict[str, Any]) -> list[Any]:
+        # The naive interpreter only ever scans: index access paths are
+        # the planner's business (repro.query.plans).
         if isinstance(source, Variable) and source.name not in env:
             if self.context.schema.has_class(source.name):
                 plan = self.context.plan
-                fast = self._try_index(source.name, query)
-                if fast is not None:
-                    plan.access_paths.append(f"index:{plan.index_used}")
-                    plan.rows_from_index += len(fast)
-                    return fast
                 plan.extent_scans += 1
                 plan.access_paths.append(f"scan:{source.name}")
                 return list(self.context.schema.extent(source.name))
@@ -450,77 +443,6 @@ class Evaluator:
         if isinstance(value, (list, tuple, set, frozenset)):
             return list(value)
         return [value]
-
-    def _try_index(
-        self, class_name: str, query: SelectQuery
-    ) -> list[PObject] | None:
-        """Index fast path for the extent source (§6.1.5.2–6.1.5.3).
-
-        Any equality conjunct ``var.attr = literal`` (or with a bound
-        parameter) reachable through the top-level AND chain of the WHERE
-        clause can seed the candidate set from an index; the full WHERE
-        clause is still evaluated afterwards, so this is purely an access
-        path optimisation.
-        """
-        probe = self.context.index_probe
-        plan = self.context.plan
-        if probe is None or query.where is None:
-            if query.where is not None and probe is None:
-                plan.notes.append(f"{class_name}: no index layer attached")
-            return None
-        if len(query.bindings) != 1:
-            plan.notes.append(
-                f"{class_name}: multi-binding FROM disables the index path"
-            )
-            return None
-        binding = query.bindings[0]
-        if (
-            not isinstance(binding.source, Variable)
-            or binding.source.name != class_name
-        ):
-            return None
-        considered = False
-        for attr, value in self._indexable_conjuncts(
-            query.where, binding.variable
-        ):
-            considered = True
-            plan.indexes_considered.append(f"{class_name}.{attr}")
-            hit = probe(class_name, attr, value)
-            if hit is not None:
-                plan.index_used = f"{class_name}.{attr}"
-                return hit
-            plan.notes.append(f"no index on {class_name}.{attr}")
-        if not considered:
-            plan.notes.append(
-                f"{class_name}: WHERE has no indexable equality conjunct"
-            )
-        return None
-
-    def _indexable_conjuncts(
-        self, condition: Node, variable: str
-    ) -> Iterator[tuple[str, Any]]:
-        """Yield (attribute, constant) for equality conjuncts on
-        ``variable`` in the top-level AND chain."""
-        if isinstance(condition, Binary) and condition.op == "and":
-            yield from self._indexable_conjuncts(condition.left, variable)
-            yield from self._indexable_conjuncts(condition.right, variable)
-            return
-        if not (isinstance(condition, Binary) and condition.op == "="):
-            return
-        for lhs, rhs in (
-            (condition.left, condition.right),
-            (condition.right, condition.left),
-        ):
-            if (
-                isinstance(lhs, AttributeAccess)
-                and isinstance(lhs.target, Variable)
-                and lhs.target.name == variable
-            ):
-                if isinstance(rhs, Literal):
-                    yield (lhs.name, rhs.value)
-                elif isinstance(rhs, Parameter):
-                    if rhs.name in self.context.params:
-                        yield (lhs.name, self.context.params[rhs.name])
 
     def _project(self, query: SelectQuery, env: dict[str, Any]) -> Any:
         if not query.projection:
@@ -608,63 +530,64 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def _eval(self, node: Node, env: dict[str, Any]) -> Any:
-        if isinstance(node, Literal):
-            return node.value
-        if isinstance(node, Parameter):
-            try:
-                return self.context.params[node.name]
-            except KeyError:
-                raise EvaluationError(
-                    f"missing query parameter ${node.name}"
-                ) from None
-        if isinstance(node, Variable):
+        # Node classes are leaves, so an exact type test stands in for
+        # isinstance; the kinds a WHERE clause is made of come first.
+        kind = type(node)
+        if kind is Binary:
+            return self._binary(node, env)
+        if kind is AttributeAccess:
+            return self._attribute(self._eval(node.target, env), node.name)
+        if kind is Variable:
             if node.name in env:
                 return env[node.name]
             if self.context.schema.has_class(node.name):
                 self.context.plan.extent_scans += 1
                 return list(self.context.schema.extent(node.name))
             raise EvaluationError(f"unbound variable {node.name!r}")
-        if isinstance(node, AttributeAccess):
-            return self._attribute(self._eval(node.target, env), node.name)
-        if isinstance(node, MethodCall):
+        if kind is Literal:
+            return node.value
+        if kind is Parameter:
+            try:
+                return self.context.params[node.name]
+            except KeyError:
+                raise EvaluationError(
+                    f"missing query parameter ${node.name}"
+                ) from None
+        if kind is MethodCall:
             target = self._eval(node.target, env)
             args = tuple(self._eval(a, env) for a in node.args)
             return self._method(target, node.name, args)
-        if isinstance(node, FunctionCall):
+        if kind is FunctionCall:
             args = tuple(self._eval(a, env) for a in node.args)
             return self._function(node.name, args)
-        if isinstance(node, Traversal):
+        if kind is Traversal:
             return self._traverse(node, env)
-        if isinstance(node, Downcast):
+        if kind is Downcast:
             return self._downcast(node.class_name, self._eval(node.target, env))
-        if isinstance(node, Unary):
+        if kind is Unary:
             value = self._eval(node.operand, env)
             if node.op == "not":
                 return not _truthy(value)
             if value is None:
                 return None
             return -value
-        if isinstance(node, Binary):
-            return self._binary(node, env)
-        if isinstance(node, SelectQuery):
+        if kind is SelectQuery:
             return self._run_select(node, env)
-        if isinstance(node, ExistsExpr):
+        if kind is ExistsExpr:
             return len(self._run_select(node.subquery, env)) > 0
-        raise EvaluationError(f"cannot evaluate node {type(node).__name__}")
+        raise EvaluationError(f"cannot evaluate node {kind.__name__}")
 
     def _attribute(self, target: Any, name: str) -> Any:
         if target is None:
             return None
-        if isinstance(target, (list, tuple, set, frozenset)):
-            return [self._attribute(item, name) for item in target]
-        if isinstance(target, RelationshipInstance):
-            if name == "origin":
-                return target.origin_object()
-            if name == "destination":
-                return target.destination_object()
-            if name in target.relationship_class.participant_roles:
-                return target.participant(name)
         if isinstance(target, PObject):
+            if isinstance(target, RelationshipInstance):
+                if name == "origin":
+                    return target.origin_object()
+                if name == "destination":
+                    return target.destination_object()
+                if name in target.relationship_class.participant_roles:
+                    return target.participant(name)
             if name == "oid":
                 return target.oid
             try:
@@ -674,6 +597,8 @@ class Evaluator:
                 # mixed collection that lacks the attribute yields null
                 # (static typos are the type checker's job, §5.1.2.4).
                 return None
+        if isinstance(target, (list, tuple, set, frozenset)):
+            return [self._attribute(item, name) for item in target]
         if isinstance(target, dict):
             if name in target:
                 return target[name]
@@ -923,6 +848,8 @@ def _apply_binary(op: str, left: Any, right: Any) -> Any:
 
 
 def _truthy(value: Any) -> bool:
+    if value is True or value is False:
+        return value
     if value is None:
         return False
     if isinstance(value, (list, tuple, set, frozenset, dict, str)):
@@ -982,7 +909,6 @@ def execute(
     text: str,
     classifications: ClassificationManager | None = None,
     params: dict[str, Any] | None = None,
-    index_probe: IndexProbe | None = None,
     telemetry: Telemetry | None = None,
 ) -> Any:
     """Parse and evaluate POOL ``text`` against ``schema``.
@@ -990,16 +916,16 @@ def execute(
     Returns a list of results for SELECT queries, a
     :class:`~repro.classification.GraphView` for EXTRACT GRAPH queries.
 
-    This entry point always uses the *naive* AST interpreter — it is the
-    reference implementation the differential query-fuzzing harness
-    checks the cost-based planner against.  Planned execution is wired
+    This entry point always uses the *naive*, scan-only AST interpreter
+    — it is the reference implementation the differential query-fuzzing
+    harness checks the cost-based planner against, and what a query the
+    planner cannot compile falls back to.  Planned execution is wired
     up by :class:`~repro.engine.database.PrometheusDB`.
     """
     context = QueryContext(
         schema=schema,
         classifications=classifications,
         params=params or {},
-        index_probe=index_probe,
         telemetry=telemetry if telemetry is not None else DISABLED,
     )
     return Evaluator(context).run(parse(text))

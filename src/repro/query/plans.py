@@ -258,8 +258,9 @@ class BindExtent(PlanOp):
                     run.paths_seen.add(id(self))
                     info.access_paths.append(f"scan:{self.class_name}")
                 values = schema.extent(self.class_name)
+            counts, key = run.counts, id(self)
             for value in values:
-                run.bump(self)
+                counts[key] = counts.get(key, 0) + 1
                 child = dict(parent)
                 child[self.variable] = value
                 yield child

@@ -9,10 +9,10 @@ live here:
   writer (the applier).  Queries therefore always see a commit-boundary
   snapshot: a half-applied batch is never query-visible.
 * :class:`ReplicaApplier` — splices a decoded frame into the store and
-  refreshes the object layer *incrementally*: changed objects are
-  re-materialised from their records, extents, relationship indexes and
-  attribute indexes are patched in place, with the event bus muted so
-  no rules fire (they already fired on the primary).
+  refreshes the object layer *incrementally*: each changed record goes
+  through the schema's event-free ``install`` / ``evict`` (the boot
+  loader's own path), so no rules fire — they already fired on the
+  primary — and attribute indexes are patched in place.
 * :class:`ReplicationClient` — the pull loop: long-polls the primary
   (via any transport with a ``pull`` method — the HTTP one or an
   in-process :class:`~repro.replication.stream.LogShipper`), applies
@@ -36,9 +36,6 @@ import zlib
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
-from ..core.relationships import RelationshipInstance
-from ..core.schema import _META_CLASS
-from ..core.synonyms import SynonymRegistry
 from ..errors import DivergedError, ReplicationError, StalePrimaryError
 from ..storage.store import AppliedBatch
 from ..telemetry import NULL_SPAN, Telemetry, propagation
@@ -142,7 +139,7 @@ class ReplicaApplier:
         splicing while the query runs — and the same LSN returns
         byte-identical results here and on the primary.
         """
-        if as_of is not None and self.db.mvcc is not None:
+        if as_of is not None:
             return self.db.query(text, params=params, as_of=as_of)
         with self.lock.read():
             return self.db.query(text, params=params, as_of=as_of)
@@ -211,47 +208,25 @@ class ReplicaApplier:
     def _refresh_model(self, batch: AppliedBatch) -> None:
         """Patch the object layer to match the newly applied commits.
 
-        Runs with the event bus muted: rules, views and the planner's
-        event hooks must not re-fire for changes that already ran their
-        course on the primary.  Attribute indexes and the relationship
-        registry are therefore patched directly (the same maintenance
-        the event path would have done), and nothing is marked dirty —
-        a replica has nothing to flush.
+        Every changed record goes through the object layer's event-free
+        ``install`` / ``evict`` — the same pair a booting database loads
+        with — so rules, views and the planner's event hooks do not
+        re-fire for changes that already ran their course on the
+        primary, and nothing is marked dirty (a replica has nothing to
+        flush).  Attribute indexes follow through ``note_removed`` /
+        ``note_installed``.
         """
         schema = self.db.schema
         indexes = self.db.indexes
-        with schema.events.muted():
-            for oid, fields in batch.changes:
-                old = schema._objects.get(oid)
-                if old is not None:
-                    for index in indexes._covering(old.pclass.name, None):
-                        index.impl.remove(old.get(index.attribute), oid)
-                    if isinstance(old, RelationshipInstance):
-                        schema.relationships.unindex(old)
-                    schema._extents[old.pclass.name].discard(oid)
-                    schema._objects.pop(oid, None)
-                    old._mark_deleted()
-                if fields is None:
-                    if oid == schema._meta_oid:
-                        schema._meta_oid = None
-                    schema.synonyms.forget(oid)
-                    continue
-                if fields.get("class") == _META_CLASS:
-                    schema._meta_oid = oid
-                    schema.synonyms = SynonymRegistry()
-                    schema.synonyms.load_storable(fields.get("synonyms", []))
-                    extras = fields.get("extras", {})
-                    if isinstance(extras, dict):
-                        schema.meta_extras.clear()
-                        schema.meta_extras.update(extras)
-                    continue
-                obj = schema._from_record(oid, fields)
-                schema._objects[oid] = obj
-                schema._extents[obj.pclass.name].add(oid)
-                if isinstance(obj, RelationshipInstance):
-                    schema.relationships.index(obj)
-                for index in indexes._covering(obj.pclass.name, None):
-                    index.impl.insert(obj.get(index.attribute), oid)
+        for oid, fields in batch.changes:
+            if schema.has_object(oid):
+                indexes.note_removed(schema.get_object(oid))
+            if fields is None:
+                schema.evict(oid)
+                continue
+            obj = schema.install(oid, fields)
+            if obj is not None:
+                indexes.note_installed(obj)
 
     def _feed_mvcc(self, batch: AppliedBatch) -> None:
         """Stamp the replica's version chains with the batch's commits.
@@ -262,8 +237,6 @@ class ReplicaApplier:
         same versions on every node.  Called under the write lock.
         """
         mvcc = self.db.mvcc
-        if mvcc is None:
-            return
         for lsn, commit_changes in batch.commits:
             writes: dict[int, dict[str, Any]] = {}
             deletes: list[int] = []
@@ -291,20 +264,10 @@ class ReplicaApplier:
         assert store is not None
         self.db.release_snapshots()
         with self.lock.write():
-            with schema.events.muted():
-                for oid in list(schema._objects):
-                    obj = schema._objects.pop(oid)
-                    schema._extents[obj.pclass.name].discard(oid)
-                    if isinstance(obj, RelationshipInstance):
-                        schema.relationships.unindex(obj)
-                    obj._mark_deleted()
-                self.db.indexes._rebuild_all()
-            schema.synonyms = SynonymRegistry()
-            schema.meta_extras.clear()
-            schema._meta_oid = None
+            schema.clear()
+            self.db.indexes._rebuild_all()
             store.reset_for_resync()
-            if self.db.mvcc is not None:
-                self.db.mvcc.reset(store.commit_lsn)
+            self.db.mvcc.reset(store.commit_lsn)
         self.resyncs += 1
         tel = self.telemetry
         if tel.enabled:

@@ -64,17 +64,6 @@ class ShardExecutionError(ShardingError):
         super().__init__(message)
 
 
-class _UnionRecords:
-    """Duck-typed ``VersionStore`` over a prebuilt, OID-sorted record
-    list — lets :class:`SnapshotSchema` materialize the gather view."""
-
-    def __init__(self, items: list[tuple[int, dict[str, Any]]]) -> None:
-        self._items = items
-
-    def items_at(self, lsn: int):
-        return iter(self._items)
-
-
 class LocalShardClient:
     """In-process shard: the federation client surface plus the admin
     surface the coordinator and rebalancer need.
@@ -161,11 +150,7 @@ class LocalShardClient:
             origin_oid=origin_oid,
             destination_oid=destination_oid,
         )
-        schema._objects[oid] = rel
-        schema._extents[relclass.name].add(oid)
-        schema._dirty[oid] = rel
-        rel._dirty = True
-        schema.relationships.index(rel)
+        schema.adopt(rel)
         self.db.indexes.note_installed(rel)
         for name, value in attrs.items():
             rel.set(name, value)
@@ -175,11 +160,8 @@ class LocalShardClient:
         shard but keeps existing elsewhere, so no delete events fire
         and no edge cascade runs."""
         schema = self.db.schema
-        obj = schema.get_object(oid)
-        self.db.indexes.note_removed(obj)
-        if isinstance(obj, RelationshipInstance):
-            schema.relationships.unindex(obj)
-        schema._remove_object(obj)
+        self.db.indexes.note_removed(schema.get_object(oid))
+        schema.evict(oid, pending=True)
 
     def export_attrs(self, oid: int) -> dict[str, Any]:
         obj = self.db.schema.get_object(oid)
@@ -212,8 +194,7 @@ class LocalShardClient:
         """Non-relationship objects whose shard key falls in ``[lo, hi)``
         (hash-placed objects — null or non-string keys — never match)."""
         out = []
-        for oid in sorted(self.db.schema._objects):
-            obj = self.db.schema._objects[oid]
+        for obj in self.db.schema.all_objects():
             if isinstance(obj, RelationshipInstance):
                 continue
             if key_attr not in obj.pclass.all_attributes():
@@ -225,7 +206,7 @@ class LocalShardClient:
                 continue
             if hi is not None and value >= hi:
                 continue
-            out.append(oid)
+            out.append(obj.oid)
         return out
 
     def export_records(
@@ -241,7 +222,7 @@ class LocalShardClient:
             if not schema.has_class(name):
                 continue
             for obj in schema.extent(name):
-                out[obj.oid] = Schema._to_record(schema, obj)
+                out[obj.oid] = schema.to_record(obj)
         return sorted(out.items())
 
     def resolve_oids(
@@ -256,7 +237,7 @@ class LocalShardClient:
         for oid in sorted(oids):
             if schema.has_object(oid):
                 obj = schema.get_object(oid)
-                out.append((oid, Schema._to_record(schema, obj)))
+                out.append((oid, schema.to_record(obj)))
         return out
 
     def _schema_at(self, lsn: int | None):
@@ -508,10 +489,10 @@ class ShardedDatabase:
         number of records moved (objects plus riding edges)."""
         moved = 0
         for name in sorted(self.shards):
-            schema = self.shards[name].db.schema
-            for oid in sorted(schema._objects):
-                obj = schema._objects.get(oid)
-                if obj is None or isinstance(obj, RelationshipInstance):
+            # Materialised first: moving an object rewrites the table.
+            for obj in list(self.shards[name].db.schema.all_objects()):
+                oid = obj.oid
+                if obj.deleted or isinstance(obj, RelationshipInstance):
                     continue
                 key = (
                     obj.get(self.map.key_attr)
@@ -800,9 +781,10 @@ class ShardedDatabase:
             for oid, record in exports[name]:
                 items[oid] = record
         self._resolve_endpoints(items, vector)
-        union = _UnionRecords(sorted(items.items()))
         return SnapshotSchema(
-            self.meta, union, as_of if as_of is not None else self.seq
+            self.meta,
+            sorted(items.items()),
+            as_of if as_of is not None else self.seq,
         )
 
     def _shard_lsn(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import struct
+from sys import intern
 from typing import Any
 
 from ..core.identity import OidRef
@@ -207,7 +208,10 @@ def _decode_value(buf: bytes | memoryview, pos: int) -> tuple[Any, int]:
         for _ in range(count):
             key, pos = _decode_value(buf, pos)
             value, pos = _decode_value(buf, pos)
-            result[key] = value
+            # Keys are field names, a small closed set: without this
+            # every decoded record (and the version chain holding it)
+            # keeps its own copy of every attribute name.
+            result[intern(key) if type(key) is str else key] = value
         return result, pos
     raise SerializationError(f"unknown tag byte 0x{tag:02x}")
 

@@ -27,7 +27,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..core.identity import OidAllocator
 from ..errors import StorageError, TransactionError, UnknownOidError
@@ -39,6 +39,7 @@ from .log import (
     KIND_DATA,
     KIND_META,
     KIND_TOMBSTONE,
+    LogEntry,
     RecordLog,
 )
 from .serialization import decode_record, encode_record
@@ -146,6 +147,12 @@ class StoreStats:
         }
 
 
+#: One committed change: ``(oid, fields)``, fields None for a delete.
+Change = tuple[int, "dict[str, Any] | None"]
+#: One applied commit: ``(marker end offset, its changes in order)``.
+Commit = tuple[int, tuple[Change, ...]]
+
+
 @dataclass(frozen=True)
 class AppliedBatch:
     """Result of splicing one replicated byte range onto the local log.
@@ -168,10 +175,8 @@ class AppliedBatch:
     commit_lsn: int
     entries: int = 0
     commits_applied: int = 0
-    changes: tuple[tuple[int, dict[str, Any] | None], ...] = ()
-    commits: tuple[
-        tuple[int, tuple[tuple[int, dict[str, Any] | None], ...]], ...
-    ] = ()
+    changes: tuple[Change, ...] = ()
+    commits: tuple[Commit, ...] = ()
 
 
 @dataclass
@@ -422,6 +427,92 @@ class ObjectStore:
 
     # -- recovery -----------------------------------------------------------
 
+    def _replay(
+        self,
+        entries: Iterable[LogEntry],
+        end: int,
+        commits: list[Commit] | None = None,
+    ) -> tuple[int, int, int, int]:
+        """Apply scanned log entries to the index: THE entry state machine.
+
+        Data and tombstone entries accumulate per transaction and the
+        index only moves when that transaction's commit marker arrives
+        (so a torn tail or an aborted transaction's dead weight is
+        ignored); META stamps raise the cluster / shard-map epochs; the
+        OID and transaction counters fast-forward past everything seen.
+        Recovery runs this over the whole log, replication over each
+        spliced byte range.
+
+        ``end`` is the offset the scan starts at.  With ``commits``, each
+        applied commit is appended as ``(marker end offset, ((oid,
+        fields-or-None), ...))`` — recovery passes None and never keeps
+        decoded fields alive.
+
+        Returns ``(end offset of the last entry, entries scanned,
+        commits applied, transactions left without a marker)``.
+        """
+        # txn -> oid -> (offset, fields); offset None marks a tombstone
+        pending: dict[
+            int, dict[int, tuple[int | None, dict[str, Any] | None]]
+        ] = {}
+        max_oid = 0
+        max_txn = 0
+        scanned = 0
+        applied = 0
+        for entry in entries:
+            end = entry.end_offset
+            scanned += 1
+            if entry.kind == KIND_DATA:
+                record = decode_record(entry.payload)
+                txn_id = int(record["t"])
+                oid = int(record["o"])
+                pending.setdefault(txn_id, {})[oid] = (
+                    entry.offset,
+                    record["f"] if commits is not None else None,
+                )
+                max_oid = max(max_oid, oid)
+                max_txn = max(max_txn, txn_id)
+            elif entry.kind == KIND_TOMBSTONE:
+                txn_id, oid = _TOMB_STRUCT.unpack(entry.payload)
+                pending.setdefault(txn_id, {})[oid] = (None, None)
+                max_oid = max(max_oid, oid)
+                max_txn = max(max_txn, txn_id)
+            elif entry.kind == KIND_COMMIT:
+                txn_id = RecordLog.decode_oid_payload(entry.payload)
+                max_txn = max(max_txn, txn_id)
+                applied += 1
+                self._commit_lsn = end
+                changed = pending.pop(txn_id, {})
+                for oid, (offset, _) in changed.items():
+                    if offset is None:
+                        self._index.pop(oid, None)
+                    else:
+                        self._index[oid] = offset
+                    self._cache.invalidate(oid)
+                if commits is not None:
+                    commits.append(
+                        (
+                            end,
+                            tuple(
+                                (oid, fields)
+                                for oid, (_, fields) in changed.items()
+                            ),
+                        )
+                    )
+            elif entry.kind == KIND_META:
+                epoch = _decode_epoch_meta(entry.payload)
+                if epoch is not None:
+                    self.cluster_epoch = max(self.cluster_epoch, epoch)
+                shard_meta = _decode_shard_meta(entry.payload)
+                if shard_meta is not None and (
+                    shard_meta[0] > self.shard_map_epoch
+                ):
+                    self.shard_map_epoch, self.shard_map_blob = shard_meta
+                # other META payloads: reserved for schema snapshots
+        self._allocator.fast_forward(max_oid)
+        self._txn_counter = max(self._txn_counter, max_txn)
+        return end, scanned, applied, len(pending)
+
     def _recover(self) -> None:
         """Rebuild index/allocator state by replaying the log.
 
@@ -434,63 +525,30 @@ class ObjectStore:
 
         Either way the outcome is published as :attr:`last_recovery`.
         """
-        pending: dict[int, dict[int, int | None]] = {}
-        max_oid = 0
-        max_txn = 0
-        expected = len(HEADER)
-        entries_scanned = 0
-        commits_applied = 0
         salvaged_entries = 0
         corrupt_regions: list[tuple[int, int]] = []
-        scan = self._log.scan_salvage() if self._salvage else self._log.scan()
-        for entry in scan:
-            if entry.offset > expected:
-                corrupt_regions.append((expected, entry.offset))
-            if corrupt_regions:
-                salvaged_entries += 1
-            expected = entry.end_offset
-            entries_scanned += 1
-            if entry.kind == KIND_DATA:
-                record = decode_record(entry.payload)
-                txn_id = int(record["t"])
-                oid = int(record["o"])
-                pending.setdefault(txn_id, {})[oid] = entry.offset
-                max_oid = max(max_oid, oid)
-                max_txn = max(max_txn, txn_id)
-            elif entry.kind == KIND_TOMBSTONE:
-                txn_id, oid = _TOMB_STRUCT.unpack(entry.payload)
-                pending.setdefault(txn_id, {})[oid] = None
-                max_oid = max(max_oid, oid)
-                max_txn = max(max_txn, txn_id)
-            elif entry.kind == KIND_COMMIT:
-                txn_id = RecordLog.decode_oid_payload(entry.payload)
-                max_txn = max(max_txn, txn_id)
-                commits_applied += 1
-                self._commit_lsn = entry.end_offset
-                for oid, offset in pending.pop(txn_id, {}).items():
-                    if offset is None:
-                        self._index.pop(oid, None)
-                    else:
-                        self._index[oid] = offset
-            elif entry.kind == KIND_META:
-                epoch = _decode_epoch_meta(entry.payload)
-                if epoch is not None:
-                    self.cluster_epoch = max(self.cluster_epoch, epoch)
-                shard_meta = _decode_shard_meta(entry.payload)
-                if shard_meta is not None and (
-                    shard_meta[0] > self.shard_map_epoch
-                ):
-                    self.shard_map_epoch, self.shard_map_blob = shard_meta
-                # other META payloads: reserved for schema snapshots
-        bytes_truncated = self._log.size - expected
-        if expected < self._log.size:
-            self._log.truncate(expected)
-        self._allocator.fast_forward(max_oid)
-        self._txn_counter = max_txn
+
+        def scan() -> Iterator[LogEntry]:
+            nonlocal salvaged_entries
+            expected = len(HEADER)
+            for entry in (
+                self._log.scan_salvage() if self._salvage else self._log.scan()
+            ):
+                if entry.offset > expected:
+                    corrupt_regions.append((expected, entry.offset))
+                if corrupt_regions:
+                    salvaged_entries += 1
+                expected = entry.end_offset
+                yield entry
+
+        end, scanned, applied, dropped = self._replay(scan(), len(HEADER))
+        bytes_truncated = self._log.size - end
+        if bytes_truncated:
+            self._log.truncate(end)
         self.last_recovery = RecoveryReport(
-            entries_scanned=entries_scanned,
-            commits_applied=commits_applied,
-            uncommitted_dropped=len(pending),
+            entries_scanned=scanned,
+            commits_applied=applied,
+            uncommitted_dropped=dropped,
             bytes_truncated=bytes_truncated,
             salvaged_entries=salvaged_entries,
             corrupt_regions=tuple(corrupt_regions),
@@ -761,13 +819,9 @@ class ObjectStore:
     def apply_replicated(self, data: bytes) -> AppliedBatch:
         """Splice a shipped byte range onto the log and apply its commits.
 
-        This IS the recovery path run incrementally: the bytes are
-        appended verbatim (keeping the file a byte-identical prefix of
-        the primary's), then scanned exactly like :meth:`_recover` scans
-        the whole log — data entries accumulate per transaction and the
-        index only moves at commit markers.  Data entries whose commit
-        marker has not arrived yet (an aborted transaction's dead
-        weight) are ignored, same as on the primary.  A structurally
+        Apply is recovery run incrementally, by the same code: the bytes
+        are appended verbatim (keeping the file a byte-identical prefix
+        of the primary's) and handed to :meth:`_replay`.  A structurally
         torn shipment — which frame checksums should have caught
         upstream — is truncated away so the next pull re-requests it.
         """
@@ -778,80 +832,28 @@ class ObjectStore:
                 )
             start = self._log.size
             self._log.append_raw(data)
-            pending: dict[int, dict[int, tuple[int, dict[str, Any] | None]]] = {}
-            changes: list[tuple[int, dict[str, Any] | None]] = []
-            commits: list[
-                tuple[int, tuple[tuple[int, dict[str, Any] | None], ...]]
-            ] = []
-            max_oid = 0
-            max_txn = 0
-            entries = 0
-            commits_applied = 0
             # Scan from the last commit marker, not from the appended
             # bytes: a transaction can straddle frames, and its data
             # entries — already on disk from an earlier apply but not
             # yet committed — must be back in the pending map when this
             # frame delivers the commit marker.
             scan_from = min(self._commit_lsn, start)
-            expected = scan_from
-            for entry in self._log.scan(scan_from):
-                expected = entry.end_offset
-                entries += 1
-                if entry.kind == KIND_DATA:
-                    record = decode_record(entry.payload)
-                    txn_id = int(record["t"])
-                    oid = int(record["o"])
-                    fields = record["f"]
-                    pending.setdefault(txn_id, {})[oid] = (entry.offset, fields)
-                    max_oid = max(max_oid, oid)
-                    max_txn = max(max_txn, txn_id)
-                elif entry.kind == KIND_TOMBSTONE:
-                    txn_id, oid = _TOMB_STRUCT.unpack(entry.payload)
-                    pending.setdefault(txn_id, {})[oid] = (entry.offset, None)
-                    max_oid = max(max_oid, oid)
-                    max_txn = max(max_txn, txn_id)
-                elif entry.kind == KIND_COMMIT:
-                    txn_id = RecordLog.decode_oid_payload(entry.payload)
-                    max_txn = max(max_txn, txn_id)
-                    commits_applied += 1
-                    commit_changes: list[
-                        tuple[int, dict[str, Any] | None]
-                    ] = []
-                    for oid, (offset, fields) in pending.pop(txn_id, {}).items():
-                        if fields is None:
-                            self._index.pop(oid, None)
-                        else:
-                            self._index[oid] = offset
-                        self._cache.invalidate(oid)
-                        commit_changes.append(
-                            (oid, None if fields is None else dict(fields))
-                        )
-                    changes.extend(commit_changes)
-                    commits.append((expected, tuple(commit_changes)))
-                    self._commit_lsn = expected
-                elif entry.kind == KIND_META:
-                    epoch = _decode_epoch_meta(entry.payload)
-                    if epoch is not None:
-                        self.cluster_epoch = max(self.cluster_epoch, epoch)
-                    shard_meta = _decode_shard_meta(entry.payload)
-                    if shard_meta is not None and (
-                        shard_meta[0] > self.shard_map_epoch
-                    ):
-                        self.shard_map_epoch, self.shard_map_blob = shard_meta
-            if expected < self._log.size:
-                # Torn shipment survived the frame checksum (should not
-                # happen); drop the tail so the next pull refetches it.
-                self._log.truncate(expected)
-            self._allocator.fast_forward(max_oid)
-            self._txn_counter = max(self._txn_counter, max_txn)
+            commits: list[Commit] = []
+            end, scanned, applied, _ = self._replay(
+                self._log.scan(scan_from), scan_from, commits
+            )
+            if end < self._log.size:
+                self._log.truncate(end)
             self._lsn_cond.notify_all()
             return AppliedBatch(
                 start=start,
                 end=self._log.size,
                 commit_lsn=self._commit_lsn,
-                entries=entries,
-                commits_applied=commits_applied,
-                changes=tuple(changes),
+                entries=scanned,
+                commits_applied=applied,
+                changes=tuple(
+                    change for _, changes in commits for change in changes
+                ),
                 commits=tuple(commits),
             )
 

@@ -67,19 +67,21 @@ def _epithet(rng: random.Random, rank: str, used: set[str]) -> str:
     while True:
         stem = rng.choice(_LATIN_STEMS)
         if rank == "Familia":
-            name = stem.capitalize() + "aceae"
+            ending = "aceae"
         elif rank == "Genus":
-            name = stem.capitalize() + rng.choice(("um", "a", "us", "ia"))
+            ending = rng.choice(("um", "a", "us", "ia"))
         else:
-            name = stem + rng.choice(_SPECIES_SUFFIXES)
+            ending = rng.choice(_SPECIES_SUFFIXES)
+        if rank != "Species":
+            stem = stem.capitalize()
+        name = stem + ending
+        if name in used:
+            # Disambiguate the stem, not the finished name: the rank
+            # ending (``-aceae``) has to stay last.
+            name = stem + rng.choice("abcdefgh") + ending
         if name not in used:
             used.add(name)
             return name
-        # Disambiguate deterministically when stems run out.
-        candidate = name + rng.choice("abcdefgh")
-        if candidate not in used:
-            used.add(candidate)
-            return candidate
 
 
 def generate_flora(

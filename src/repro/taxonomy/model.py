@@ -244,7 +244,9 @@ class TaxonomyDatabase:
         The taxonomic classes are registered on the engine's schema (if
         not already present) and the engine's classification manager and
         trace log are shared, so POOL queries, indexes, views and rules
-        all see the taxonomic data.
+        all see the taxonomic data.  :meth:`commit` is then the engine's
+        commit (lock, version stamps and chains): the engine's schema
+        hands ``commit()`` to its transaction manager.
         """
         taxdb = cls.__new__(cls)
         taxdb.schema = db.schema

@@ -28,7 +28,7 @@ def fingerprint(db):
     records = {}
     for pclass in schema.classes():
         for obj in schema.extent(pclass.name, polymorphic=False):
-            records[obj.oid] = schema._to_record(obj)
+            records[obj.oid] = schema.to_record(obj)
     state["records"] = {
         str(oid): records[oid] for oid in sorted(records)
     }

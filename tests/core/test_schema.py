@@ -166,6 +166,16 @@ class TestPersistence:
         assert p.dirty
         assert schema.dirty_count == 1
 
+    def test_standalone_schema_serialises_nothing(self, schema):
+        """No store and no committer: nobody reads flushed records, so
+        a commit builds none and deletions are not kept for it."""
+        p = schema.create("Person", name="P")
+        assert schema.commit() == (None, {}, [], None)
+        assert not p.dirty
+        schema.delete(p)
+        assert not schema.is_pending(p.oid)
+        assert schema.commit() == (None, {}, [], None)
+
 
 class TestObjectTable:
     def test_get_object_unknown(self, schema):

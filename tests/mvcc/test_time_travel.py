@@ -195,7 +195,7 @@ class TestWatermarkMetrics:
         pinned.release()
 
     def test_gc_interval_runs_automatically(self, tmp_path):
-        database = PrometheusDB(mvcc=True)
+        database = PrometheusDB()
         declare(database)
         database.mvcc.gc.interval_commits = 10
         obj = database.schema.create("Taxon", name="x", rank="genus")
@@ -207,14 +207,48 @@ class TestWatermarkMetrics:
         assert database.mvcc.telemetry_snapshot()["versions_collected"] > 0
 
 
-class TestMvccDisabled:
-    def test_mvcc_false_keeps_live_reads_working(self):
-        database = PrometheusDB(mvcc=False)
-        declare(database)
-        database.schema.create("Taxon", name="Quercus", rank="genus")
-        database.commit()
-        assert database.query(QUERY) == ["Quercus"]
-        with pytest.raises(SnapshotError):
-            database.query(QUERY, as_of=database.lsn)
-        with pytest.raises(SnapshotError):
-            database.snapshot()
+class TestBareSchemaCommit:
+    """``db.schema.commit()`` is the same commit as ``db.commit()``."""
+
+    def test_visible_to_as_of_snapshot_and_transactions(self, db):
+        obj = db.schema.create("Taxon", name="Quercus", rank="genus")
+        db.commit()
+        before = db.lsn
+        obj.set("name", "Fagus")
+        db.schema.commit()
+        assert db.lsn > before
+        assert db.transactions.published_snapshot[1] == db.lsn
+        assert db.query(QUERY) == ["Fagus"]
+        assert db.query(QUERY, as_of=db.lsn) == ["Fagus"]
+        assert db.query(QUERY, as_of=before) == ["Quercus"]
+        with db.snapshot() as snap:
+            assert snap.query(QUERY) == ["Fagus"]
+        with db.begin() as txn:
+            assert txn.get_value(obj.oid, "name") == "Fagus"
+
+    def test_conflicts_with_a_racing_transaction(self, db):
+        from repro.errors import ConflictError
+
+        obj = db.schema.create("Taxon", name="Quercus", rank="genus")
+        db.commit()
+        txn = db.begin()
+        txn.set(obj.oid, "name", "from-txn")
+        obj.set("name", "from-session")
+        db.schema.commit()
+        with pytest.raises(ConflictError):
+            txn.commit()
+
+
+class TestSnapshotViewConstruction:
+    def test_record_of_an_unregistered_class_is_refused(self, db):
+        """A view installs like the boot does: an unknown class is an
+        error, not a silently smaller extent."""
+        from repro.mvcc.view import SnapshotSchema
+
+        obj = db.schema.create("Taxon", name="Quercus", rank="genus")
+        records = [
+            (obj.oid, db.schema.to_record(obj)),
+            (10_001, {"class": "NeverRegistered", "values": {"x": 1}}),
+        ]
+        with pytest.raises(SchemaError, match="NeverRegistered"):
+            SnapshotSchema(db.schema, records, 7)

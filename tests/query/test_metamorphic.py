@@ -137,18 +137,24 @@ class TestLimitInvariance:
         assert checked == 80
 
 
-class TestPlannerOffParity:
-    """planner=False disables planned execution entirely (reference mode)."""
+class TestPlannerFallbackParity:
+    """A query the planner cannot compile lands on the naive interpreter."""
 
-    def test_engine_marker(self):
+    def test_engine_marker(self, monkeypatch):
         from repro.engine import PrometheusDB
         from repro.core.attributes import Attribute
         from repro.core import types as T
 
-        db = PrometheusDB(planner=False)
+        db = PrometheusDB()
         db.schema.define_class("C", [Attribute("n", T.INTEGER)])
         db.schema.create("C", n=1)
+
+        def refuse(*args, **kwargs):
+            raise NotImplementedError("forced planner failure")
+
+        monkeypatch.setattr(db.planner, "_build", refuse)
         report = db.query("explain select c from c in C")
         assert report["plan"]["engine"] == "naive"
         assert report["plan"]["plan_tree"] is None
-        assert db.planner is None
+        assert report["rows"] == 1
+        assert db.planner.failures == 1

@@ -52,6 +52,21 @@ class TestShape:
             assert epithet_problems(nt.get("epithet"), nt.get("rank")) is None
 
 
+    def test_stem_collisions_keep_the_rank_ending(self):
+        """4 families over 24 stems collide at this seed; the
+        disambiguating letter must go into the stem, not after -aceae."""
+        big = generate_flora(
+            FloraParameters(families=4, genera_per_family=10,
+                            species_per_genus=10)
+        )
+        names = big.taxdb.names()
+        families = [n for n in names if n.get("rank") == "Familia"]
+        assert len(families) == 4
+        assert all(n.get("epithet").endswith("aceae") for n in families)
+        epithets = [n.get("epithet") for n in names]
+        assert len(epithets) == len(set(epithets)) == 4 + 40 + 400
+
+
 class TestDeterminism:
     def test_same_seed_same_flora(self):
         params = FloraParameters(families=1, genera_per_family=2,

@@ -264,3 +264,54 @@ class TestPersistence:
         assert taxdb2.working_name_of(c2.roots()[0]) == "G"
         assert len(taxdb2.trace) == 1
         store2.close()
+
+
+class TestOverEnginePersistence:
+    """``over_engine`` and ``load`` in either order see what was stored,
+    and the facade's commit is the engine's."""
+
+    @staticmethod
+    def _populate(path):
+        from repro.engine import PrometheusDB
+
+        db = PrometheusDB(path)
+        taxdb = TaxonomyDatabase.over_engine(db)
+        c = taxdb.new_classification("rev", author="me")
+        genus = taxdb.new_taxon("Genus", working_name="G")
+        taxdb.place(c, genus, taxdb.new_taxon("Species", working_name="s"))
+        taxdb.commit()
+        assert db.transactions.commit_ts == 1  # went through db.commit()
+        with db.snapshot() as snap:
+            assert len(snap.classifications.get("rev")) == 1
+        db.close()
+
+    @pytest.mark.parametrize("facade_first", [True, False])
+    def test_reopen_in_both_orders(self, tmp_path, facade_first):
+        from repro.engine import PrometheusDB
+        from repro.taxonomy import define_taxonomy_schema
+
+        path = tmp_path / "tax.plog"
+        self._populate(path)
+        db = PrometheusDB(path)
+        if facade_first:
+            taxdb = TaxonomyDatabase.over_engine(db)
+            assert "rev" not in taxdb.classifications  # nothing loaded yet
+            db.load()
+        else:
+            define_taxonomy_schema(db.schema)
+            db.load()
+            taxdb = TaxonomyDatabase.over_engine(db)
+        rev = taxdb.classifications.get("rev")
+        assert len(rev) == 1
+        assert taxdb.working_name_of(rev.roots()[0]) == "G"
+        assert len(taxdb.trace) == 1
+        # Edits after the reload still reach the stored journal/registry.
+        taxdb.place(rev, rev.roots()[0], taxdb.new_taxon("Species"))
+        taxdb.commit()
+        db.close()
+        again = PrometheusDB(path)
+        define_taxonomy_schema(again.schema)
+        again.load()
+        assert len(again.classifications.get("rev")) == 2
+        assert len(again.trace) == 2
+        again.close()

@@ -162,6 +162,28 @@ class TestCollectors:
         assert "tmp" not in registry.render_prometheus()
 
 
+    def test_disabled_facade_does_not_pin_databases(self):
+        """Databases on the shared DISABLED singleton must not leave a
+        collector (and with it a strong reference to themselves) behind."""
+        import gc
+        import weakref
+
+        from repro.engine import PrometheusDB
+        from repro.telemetry import DISABLED
+
+        collectors = DISABLED.registry._collectors
+        before = len(collectors)
+        refs = []
+        for _ in range(3):
+            db = PrometheusDB(telemetry=DISABLED)
+            refs.append(weakref.ref(db))
+            db.close()
+        del db
+        gc.collect()
+        assert len(collectors) == before
+        assert [ref() for ref in refs] == [None, None, None]
+
+
 class TestRegistryLifecycle:
     def test_reset_drops_metrics_keeps_collectors(self, registry):
         registry.counter("gone_total").inc()
