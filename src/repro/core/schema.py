@@ -361,12 +361,17 @@ class Schema(ObjectTable):
         #: :meth:`commit` hands over to it, so a bare ``schema.commit()``
         #: is as visible to snapshots as ``PrometheusDB.commit``.
         self.committer: Callable[[], Flushed] | None = None
-        self._allocator = OidAllocator()
+        #: Where a store-less schema draws new OIDs (a store allocates
+        #: its own, so this is None there).  Public so that several
+        #: schemas can share one allocator — the shard coordinator hands
+        #: its global allocator to every shard, which is what keeps OIDs
+        #: identical across topologies.
+        self.allocator: OidAllocator | None = (
+            OidAllocator() if store is None else None
+        )
         root = PClass("Object", abstract=True, doc="ODMG inheritance root")
         root._bind(self, ())
         self._classes[root.name] = root
-        if store is not None:
-            self._allocator = None  # type: ignore[assignment]  # store allocates
 
     # ------------------------------------------------------------------
     # class registry
@@ -440,7 +445,8 @@ class Schema(ObjectTable):
     def _new_oid(self) -> int:
         if self.store is not None:
             return self.store.new_oid()
-        return self._allocator.allocate()
+        assert self.allocator is not None
+        return self.allocator.allocate()
 
     # ------------------------------------------------------------------
     # object lifecycle

@@ -28,8 +28,9 @@ degradation is *visible*:
   elapses, then a single half-open probe decides whether to close the
   circuit again;
 * **concurrent fan-out with an overall deadline** in
-  :meth:`Federation.query_all`: a hung node costs the deadline, not the
-  sum of every node's timeout, and is reported as failed;
+  :meth:`Federation._scatter`, the one routine every multi-node call
+  goes through: a hung node costs the deadline, not the sum of every
+  node's timeout, and is reported as failed;
 * aggregates such as :meth:`Federation.count_all` carry ``__errors__``
   and ``__partial__`` markers so a degraded answer can never be
   mistaken for a complete one.
@@ -45,6 +46,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from ..errors import PrometheusError, WireError
@@ -414,10 +416,11 @@ class NodeResult:
 class Federation:
     """A named set of remote Prometheus nodes queried together.
 
-    ``deadline`` bounds the *whole* fan-out of :meth:`query_all`; nodes
-    that have not answered by then are reported failed (and count
-    against their circuit breaker).  ``retry`` is applied per node
-    *inside* the fan-out; set it to ``None`` to disable retries.
+    ``deadline`` bounds the *whole* fan-out of every multi-node call;
+    nodes that have not answered by then are reported failed (and, for
+    breaker-guarded calls, count against their circuit breaker).
+    ``retry`` is applied per node *inside* the fan-out; set it to
+    ``None`` to disable retries.
     """
 
     nodes: dict[str, RemoteDatabase] = field(default_factory=dict)
@@ -553,31 +556,18 @@ class Federation:
         """One guarded node call: breaker gate, retries, breaker update."""
         breaker = self.breaker(name)
         tel = self.telemetry
-        if not tel.enabled:
-            if not breaker.allow():
-                raise CircuitOpenError(
-                    f"{name}: circuit open "
-                    f"({breaker.consecutive_failures} consecutive failures)"
-                )
-            try:
-                result = self.retry.call(fn) if self.retry is not None else fn()
-            except Exception:
-                breaker.record_failure()
-                raise
-            breaker.record_success()
-            return result
-
-        registry = tel.registry
         node_label = {"node": name}
-        registry.counter(
-            "repro_federation_requests_total",
-            node_label,
-            help="Guarded federation calls per node",
-        ).inc()
-        if not breaker.allow():
-            registry.counter(
-                "repro_federation_breaker_rejections_total", node_label
+        if tel.enabled:
+            tel.registry.counter(
+                "repro_federation_requests_total",
+                node_label,
+                help="Guarded federation calls per node",
             ).inc()
+        if not breaker.allow():
+            if tel.enabled:
+                tel.registry.counter(
+                    "repro_federation_breaker_rejections_total", node_label
+                ).inc()
             raise CircuitOpenError(
                 f"{name}: circuit open "
                 f"({breaker.consecutive_failures} consecutive failures)"
@@ -596,27 +586,103 @@ class Federation:
             )
         except Exception:
             breaker.record_failure()
-            registry.counter(
-                "repro_federation_errors_total", node_label
-            ).inc()
-            if attempts > 1:
-                registry.counter(
-                    "repro_federation_retries_total", node_label
-                ).inc(attempts - 1)
+            if tel.enabled:
+                tel.registry.counter(
+                    "repro_federation_errors_total", node_label
+                ).inc()
             raise
-        if attempts > 1:
-            registry.counter(
-                "repro_federation_retries_total",
-                node_label,
-                help="Retry attempts beyond the first, per node",
-            ).inc(attempts - 1)
-        registry.histogram(
-            "repro_federation_request_ms",
-            node_label,
-            help="Per-node federation request latency (ms), retries included",
-        ).observe((time.monotonic() - started) * 1000.0)
-        breaker.record_success()
+        else:
+            breaker.record_success()
+            if tel.enabled:
+                tel.registry.histogram(
+                    "repro_federation_request_ms",
+                    node_label,
+                    help="Per-node federation request latency (ms), "
+                    "retries included",
+                ).observe((time.monotonic() - started) * 1000.0)
+        finally:
+            if tel.enabled and attempts > 1:
+                tel.registry.counter(
+                    "repro_federation_retries_total",
+                    node_label,
+                    help="Retry attempts beyond the first, per node",
+                ).inc(attempts - 1)
         return result
+
+    def _scatter(
+        self,
+        calls: dict[str, Callable[[], Any]],
+        deadline: float | None = None,
+        guarded: bool = False,
+    ) -> dict[str, NodeResult]:
+        """Run ``{name: thunk}`` concurrently under one deadline — the
+        one fan-out every multi-node call goes through.
+
+        Returns a :class:`NodeResult` per name, in ``calls`` order.  A
+        thunk still running when ``deadline`` (default: the
+        federation's) expires yields a "deadline exceeded" error with
+        ``elapsed`` = the deadline; its worker is abandoned, never
+        waited for.  Workers run attached to the caller's trace, so
+        per-node spans and outbound ``traceparent`` headers stay in it.
+
+        ``guarded=True`` declares the thunks breaker-guarded (the caller
+        wraps them in :meth:`_call_node`): a deadline miss then also
+        counts against the node's breaker.  Unguarded calls are the
+        observability probes an operator uses to watch a node come back
+        and never touch breakers.
+        """
+        if deadline is None:
+            deadline = self.deadline
+        if not calls:
+            return {}
+        tracer = self.telemetry.tracer
+        handle = tracer.capture()
+
+        def run(fn: Callable[[], Any]) -> tuple[Any, float]:
+            started = time.monotonic()
+            with tracer.attach(handle):
+                result = fn()
+            return result, time.monotonic() - started
+
+        results: dict[str, NodeResult] = {}
+        pool = concurrent.futures.ThreadPoolExecutor(
+            max_workers=min(self.max_workers, len(calls)),
+            thread_name_prefix="federation",
+        )
+        try:
+            futures = {
+                pool.submit(run, fn): name for name, fn in calls.items()
+            }
+            done, _ = concurrent.futures.wait(futures, timeout=deadline)
+            for future, name in futures.items():
+                if future not in done:
+                    future.cancel()
+                    results[name] = NodeResult(
+                        node=name,
+                        error=f"deadline exceeded after {deadline}s",
+                        elapsed=deadline or 0.0,
+                    )
+                    if guarded:
+                        self.breaker(name).record_failure()
+                    continue
+                try:
+                    result, elapsed = future.result()
+                except Exception as exc:
+                    # `or type name`: an exception with an empty message
+                    # (bare CircuitOpenError, ConnectionError) must not
+                    # produce error="" — NodeResult.ok would read True.
+                    results[name] = NodeResult(
+                        node=name, error=str(exc) or type(exc).__name__
+                    )
+                else:
+                    results[name] = NodeResult(
+                        node=name, result=result, elapsed=elapsed
+                    )
+        finally:
+            # Never wait for hung worker threads; their sockets time out
+            # on their own and the results are already discarded.
+            pool.shutdown(wait=False, cancel_futures=True)
+        return results
 
     # -- fan-out -----------------------------------------------------------
 
@@ -634,65 +700,13 @@ class Federation:
         its breaker records the failure.  The federation degrades, it
         does not fail (autonomous locals).
         """
-        if deadline is None:
-            deadline = self.deadline
-        names = sorted(self.nodes)
-        if not names:
-            return []
-
-        # Fan-out hops threads: capture the caller's trace position so
-        # each per-node call (and its outbound traceparent) stays in the
-        # caller's trace instead of orphaning into a fresh one.
-        tracer = self.telemetry.tracer
-        handle = tracer.capture()
-
-        def run(name: str) -> tuple[Any, float]:
-            client = self.nodes[name]
-            started = time.monotonic()
-            with tracer.attach(handle):
-                result = self._call_node(
-                    name, lambda: client.query(text, params)
-                )
-            return result, time.monotonic() - started
-
-        results: dict[str, NodeResult] = {}
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.max_workers, len(names)),
-            thread_name_prefix="federation",
-        )
-        try:
-            futures = {pool.submit(run, name): name for name in names}
-            done, not_done = concurrent.futures.wait(
-                futures, timeout=deadline
+        calls = {
+            name: partial(
+                self._call_node, name, partial(client.query, text, params)
             )
-            for future in done:
-                name = futures[future]
-                try:
-                    result, elapsed = future.result()
-                    results[name] = NodeResult(
-                        node=name, result=result, elapsed=elapsed
-                    )
-                except Exception as exc:
-                    # `or type name`: an exception with an empty message
-                    # (bare CircuitOpenError, ConnectionError) must not
-                    # produce error="" — NodeResult.ok would read True.
-                    results[name] = NodeResult(
-                        node=name, error=str(exc) or type(exc).__name__
-                    )
-            for future in not_done:
-                name = futures[future]
-                future.cancel()
-                results[name] = NodeResult(
-                    node=name,
-                    error=f"deadline exceeded after {deadline}s",
-                    elapsed=deadline or 0.0,
-                )
-                self.breaker(name).record_failure()
-        finally:
-            # Never wait for hung worker threads; their sockets time out
-            # on their own and the results are already discarded.
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [results[name] for name in names]
+            for name, client in sorted(self.nodes.items())
+        }
+        return list(self._scatter(calls, deadline, guarded=True).values())
 
     def query_all_reads(
         self,
@@ -712,84 +726,45 @@ class Federation:
         more than that many bytes.  ``served_by`` on each result records
         which endpoint actually answered.
         """
-        if deadline is None:
-            deadline = self.deadline
-        names = sorted(self.nodes)
-        if not names:
-            return []
 
-        tracer = self.telemetry.tracer
-        handle = tracer.capture()
-
-        def run(name: str) -> tuple[Any, float, str]:
-            started = time.monotonic()
-            with tracer.attach(handle):
-                return run_traced(name, started)
-
-        def run_traced(name: str, started: float) -> tuple[Any, float, str]:
+        def read(name: str) -> tuple[Any, str]:
             replicas = self.replicas.get(name, {})
+            floor = min_lsn
+            if replicas and staleness_bytes is not None:
+                # One probe of the primary's head bounds every replica.
+                try:
+                    status = self._call_node(
+                        name, self.nodes[name].replication_status
+                    )
+                except FederationError:
+                    replicas = {}  # no head to bound against: primary serves
+                else:
+                    primary_lsn = int(status.get("commit_lsn") or 0)
+                    floor = max(floor, primary_lsn - int(staleness_bytes))
             for replica_name in sorted(replicas):
                 key = f"{name}/{replica_name}"
                 client = replicas[replica_name]
-                floor = min_lsn
                 try:
-                    if staleness_bytes is not None:
-                        status = self._call_node(
-                            name, self.nodes[name].replication_status
-                        )
-                        primary_lsn = int(status.get("commit_lsn") or 0)
-                        floor = max(floor, primary_lsn - int(staleness_bytes))
                     result, lsn = self._call_node(
-                        key, lambda: client.query_with_lsn(text, params)
+                        key, partial(client.query_with_lsn, text, params)
                     )
-                except (FederationError, CircuitOpenError):
+                except FederationError:
                     continue
-                if lsn is None or lsn < floor:
-                    # Too stale for this read; the replica is healthy,
-                    # so its breaker is untouched.
-                    continue
-                return result, time.monotonic() - started, key
+                if lsn is not None and lsn >= floor:
+                    return result, key
+                # Too stale for this read; the replica is healthy, so
+                # its breaker is untouched.
             result = self._call_node(
-                name, lambda: self.nodes[name].query(text, params)
+                name, partial(self.nodes[name].query, text, params)
             )
-            return result, time.monotonic() - started, name
+            return result, name
 
-        results: dict[str, NodeResult] = {}
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.max_workers, len(names)),
-            thread_name_prefix="federation-read",
-        )
-        try:
-            futures = {pool.submit(run, name): name for name in names}
-            done, not_done = concurrent.futures.wait(
-                futures, timeout=deadline
-            )
-            for future in done:
-                name = futures[future]
-                try:
-                    result, elapsed, served_by = future.result()
-                    results[name] = NodeResult(
-                        node=name,
-                        result=result,
-                        elapsed=elapsed,
-                        served_by=served_by,
-                    )
-                except Exception as exc:
-                    results[name] = NodeResult(
-                        node=name, error=str(exc) or type(exc).__name__
-                    )
-            for future in not_done:
-                name = futures[future]
-                future.cancel()
-                results[name] = NodeResult(
-                    node=name,
-                    error=f"deadline exceeded after {deadline}s",
-                    elapsed=deadline or 0.0,
-                )
-                self.breaker(name).record_failure()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return [results[name] for name in names]
+        calls = {name: partial(read, name) for name in sorted(self.nodes)}
+        results = list(self._scatter(calls, deadline, guarded=True).values())
+        for answer in results:
+            if answer.ok:
+                answer.result, answer.served_by = answer.result
+        return results
 
     # -- cluster observability (scatter-gather) -----------------------------
 
@@ -800,59 +775,6 @@ class Federation:
             for replica, client in sorted(self.replicas[node].items()):
                 out[f"{node}/{replica}"] = client
         return out
-
-    def _scatter(
-        self,
-        calls: dict[str, Callable[[], Any]],
-        deadline: float | None = None,
-    ) -> dict[str, tuple[Any, str]]:
-        """Run ``{name: thunk}`` concurrently under the deadline.
-
-        Returns ``{name: (result, error)}`` — exactly one of the pair is
-        meaningful.  Used by the ``/cluster/*`` aggregation endpoints;
-        unlike :meth:`query_all` it does not touch breakers (these *are*
-        the observability probes an operator uses to watch a node come
-        back).
-        """
-        if deadline is None:
-            deadline = self.deadline
-        if not calls:
-            return {}
-        tracer = self.telemetry.tracer
-        handle = tracer.capture()
-
-        def run(fn: Callable[[], Any]) -> Any:
-            with tracer.attach(handle):
-                return fn()
-
-        results: dict[str, tuple[Any, str]] = {}
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.max_workers, len(calls)),
-            thread_name_prefix="federation-scatter",
-        )
-        try:
-            futures = {
-                pool.submit(run, fn): name for name, fn in calls.items()
-            }
-            done, not_done = concurrent.futures.wait(
-                futures, timeout=deadline
-            )
-            for future in done:
-                name = futures[future]
-                try:
-                    results[name] = (future.result(), "")
-                except Exception as exc:
-                    results[name] = (None, str(exc) or type(exc).__name__)
-            for future in not_done:
-                name = futures[future]
-                future.cancel()
-                results[name] = (
-                    None,
-                    f"deadline exceeded after {deadline}s",
-                )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return results
 
     def cluster_metrics(
         self, deadline: float | None = None
@@ -878,11 +800,11 @@ class Federation:
         totals: dict[str, float] = {}
         errors: dict[str, str] = {}
         for name, client in endpoints.items():
-            text, error = scattered.get(name, (None, "not scattered"))
-            if error:
-                errors[name] = error
+            answer = scattered[name]
+            if not answer.ok:
+                errors[name] = answer.error
                 continue
-            series = parse_prometheus(text)
+            series = parse_prometheus(answer.result)
             nodes[name] = {"url": client.url, "series": series}
             for key, value in series.items():
                 if key.split("{", 1)[0].endswith("_total"):
@@ -907,41 +829,38 @@ class Federation:
         """
         endpoints = self.endpoints()
 
-        def probe(client: RemoteDatabase) -> Callable[[], dict[str, Any]]:
-            def call() -> dict[str, Any]:
-                status = client.replication_status()
-                shipping = status.get("shipping") or {}
-                lag = shipping.get("lag_bytes")
-                row: dict[str, Any] = {
-                    "url": client.url,
-                    "role": status.get("role"),
-                    "epoch": status.get("epoch"),
-                    "log_epoch": status.get("log_epoch"),
-                    "commit_lsn": status.get("commit_lsn"),
-                    "applied_lsn": status.get("applied_lsn"),
-                    "lag_bytes": sum(lag.values())
-                    if isinstance(lag, dict)
-                    else lag,
+        def probe(client: RemoteDatabase) -> dict[str, Any]:
+            status = client.replication_status()
+            shipping = status.get("shipping") or {}
+            lag = shipping.get("lag_bytes")
+            row: dict[str, Any] = {
+                "url": client.url,
+                "role": status.get("role"),
+                "epoch": status.get("epoch"),
+                "log_epoch": status.get("log_epoch"),
+                "commit_lsn": status.get("commit_lsn"),
+                "applied_lsn": status.get("applied_lsn"),
+                "lag_bytes": sum(lag.values())
+                if isinstance(lag, dict)
+                else lag,
+            }
+            try:
+                ha = client.ha_status()
+            except FederationError:
+                ha = None  # no HA controller on that node
+            if ha is not None and "error" not in ha:
+                row["ha"] = {
+                    "fenced": ha.get("fenced"),
+                    "writes_allowed": ha.get("writes_allowed"),
+                    "lease_remaining_s": ha.get("lease_remaining_s"),
+                    "promotions": ha.get("promotions"),
+                    "fences": ha.get("fences"),
                 }
-                try:
-                    ha = client.ha_status()
-                except FederationError:
-                    ha = None  # no HA controller on that node
-                if ha is not None and "error" not in ha:
-                    row["ha"] = {
-                        "fenced": ha.get("fenced"),
-                        "writes_allowed": ha.get("writes_allowed"),
-                        "lease_remaining_s": ha.get("lease_remaining_s"),
-                        "promotions": ha.get("promotions"),
-                        "fences": ha.get("fences"),
-                    }
-                return row
-
-            return call
+            return row
 
         scattered = self._scatter(
             {
-                name: probe(client)
+                name: partial(probe, client)
                 for name, client in endpoints.items()
             },
             deadline,
@@ -952,16 +871,16 @@ class Federation:
         max_epoch = 0
         total_lag = 0.0
         for name, client in endpoints.items():
-            row, error = scattered.get(name, (None, "not scattered"))
-            if error:
-                errors[name] = error
+            answer = scattered[name]
+            if not answer.ok:
+                errors[name] = answer.error
                 nodes[name] = {
                     "url": client.url,
-                    "error": error,
+                    "error": answer.error,
                     "breaker": self.breaker(name).state,
                 }
                 continue
-            row = dict(row)
+            row = answer.result
             row["breaker"] = self.breaker(name).state
             nodes[name] = row
             if row.get("role") == "primary":
@@ -1008,15 +927,16 @@ class Federation:
         )
 
     def classification_inventory(self) -> dict[str, list[str]]:
-        """Classification names per node (nothing is merged)."""
-        inventory: dict[str, list[str]] = {}
-        for name in sorted(self.nodes):
-            client = self.nodes[name]
-            try:
-                inventory[name] = self._call_node(name, client.classifications)
-            except FederationError:
-                inventory[name] = []
-        return inventory
+        """Classification names per node (nothing is merged); a node
+        that failed or missed the deadline lists none."""
+        calls = {
+            name: partial(self._call_node, name, client.classifications)
+            for name, client in sorted(self.nodes.items())
+        }
+        return {
+            name: answer.result if answer.ok else []
+            for name, answer in self._scatter(calls, guarded=True).items()
+        }
 
     def count_all(self, class_name: str) -> dict[str, Any]:
         """Instance counts of a class per node (plus a ``__total__``).
@@ -1057,17 +977,24 @@ class Federation:
 
     def alive(self) -> dict[str, bool]:
         """Probe every node directly (bypasses breakers: this *is* the
-        health check that lets an operator see a node come back)."""
-        return {name: client.ping() for name, client in sorted(self.nodes.items())}
+        health check that lets an operator see a node come back); a node
+        that fails or misses the deadline is not alive."""
+        calls = {
+            name: client.ping for name, client in sorted(self.nodes.items())
+        }
+        return {
+            name: answer.result if answer.ok else False
+            for name, answer in self._scatter(calls).items()
+        }
 
     def health_report(self) -> dict[str, dict[str, Any]]:
         """Per-node liveness plus breaker state, for operators."""
         report: dict[str, dict[str, Any]] = {}
-        for name, client in sorted(self.nodes.items()):
+        for name, alive in self.alive().items():
             breaker = self.breaker(name)
             report[name] = {
-                "url": client.url,
-                "alive": client.ping(),
+                "url": self.nodes[name].url,
+                "alive": alive,
                 "breaker": breaker.state,
                 "consecutive_failures": breaker.consecutive_failures,
             }

@@ -566,11 +566,11 @@ class ReplicationClient:
         batch = self.applier.apply_frame(frame)
         if self._position() == position:
             # A frame was shipped but nothing could be spliced: the
-            # shipper's byte ceiling is smaller than the next log entry,
-            # and retrying the same pull would spin forever.
+            # shipper cut the next log entry short, and retrying the
+            # same pull would spin forever.
             raise ReplicationError(
                 f"replica {self.name}: frame from {position} made no "
-                "progress (max_bytes below the next entry size?)"
+                "progress (the shipper split a log entry?)"
             )
         return batch
 

@@ -25,7 +25,9 @@ consistent state.  Entries of *aborted* transactions that precede the
 next commit marker ride along inside later frames (they are dead weight
 on the primary and stay dead weight on the replica — byte identity is
 preserved, and the apply path ignores uncommitted entries exactly like
-recovery does).
+recovery does).  ``max_bytes`` limits how many entries one frame
+batches, never a single entry: a frame always carries at least the
+whole entry at ``from_lsn``, however long.
 
 Divergence: a replica proves its log is still a prefix of the primary's
 by sending the CRC of its last ``PREFIX_CRC_WINDOW`` bytes with every
@@ -343,7 +345,11 @@ class LogShipper:
         if commit_lsn <= from_lsn:
             self._note_pull(replica, from_lsn, 0, diverged=False)
             return "empty", None
-        to_lsn = min(commit_lsn, from_lsn + ceiling)
+        # An entry longer than the ceiling ships whole, or no frame
+        # could ever advance past it.
+        to_lsn = min(
+            commit_lsn, max(from_lsn + ceiling, store.entry_end(from_lsn))
+        )
         payload = store.read_log_bytes(from_lsn, to_lsn)
         to_lsn = from_lsn + len(payload)
         frame = encode_frame(from_lsn, to_lsn, payload, epoch=self.epoch)

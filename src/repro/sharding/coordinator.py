@@ -25,6 +25,7 @@ whose ranges intersect it.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Callable
 
 from ..core.identity import OidAllocator
@@ -324,7 +325,7 @@ class ShardedDatabase:
         for name in shard_map.shards:
             db = PrometheusDB(telemetry=DISABLED)
             ddl(db.schema)
-            db.schema._allocator = self.allocator
+            db.schema.allocator = self.allocator
             if index_ddl is not None:
                 index_ddl(db)
             self.shards[name] = LocalShardClient(name, db)
@@ -625,30 +626,29 @@ class ShardedDatabase:
         are tagged per shard and re-raised as one deterministic
         :class:`ShardExecutionError`."""
 
-        def guarded(client: LocalShardClient) -> tuple[str, Any, str]:
+        def tagged(client: LocalShardClient) -> tuple[str, Any, str]:
             try:
                 return ("ok", call(client), "")
             except PrometheusError as exc:
                 return ("error", None, type(exc).__name__)
 
+        federation = self.federation
         calls = {
-            name: (
-                lambda n=name: self.federation._call_node(
-                    n, lambda: guarded(self.shards[n])
-                )
+            name: partial(
+                federation._call_node, name, partial(tagged, self.shards[name])
             )
             for name in shard_names
         }
-        raw = self.federation._scatter(calls)
+        raw = federation._scatter(calls, guarded=True)
         results: dict[str, Any] = {}
         kinds: list[str] = []
         infra: list[str] = []
         for name in sorted(raw):
-            outcome, error = raw[name]
-            if error:
-                infra.append(f"{name}: {error}")
+            answer = raw[name]
+            if not answer.ok:
+                infra.append(f"{name}: {answer.error}")
                 continue
-            status, value, kind = outcome
+            status, value, kind = answer.result
             if status == "error":
                 kinds.append(kind)
             else:

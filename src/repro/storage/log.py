@@ -276,6 +276,20 @@ class RecordLog:
             raise CorruptRecordError(f"checksum mismatch at offset {offset}")
         return LogEntry(offset=offset, kind=kind, payload=payload)
 
+    def entry_end(self, offset: int) -> int:
+        """End offset of the entry starting at ``offset``, from its
+        header alone (the payload is neither read nor checked);
+        ``offset`` itself when no entry header starts there."""
+        self._require_open()
+        if offset < len(HEADER) or offset >= self._end:
+            return offset
+        self._file.seek(offset)
+        head = self._file.read(7)
+        if len(head) < 7 or head[:2] != MAGIC:
+            return offset
+        (length,) = _LEN_STRUCT.unpack(head[3:7])
+        return offset + _ENTRY_OVERHEAD + length
+
     def scan(self, start: int | None = None) -> Iterator[LogEntry]:
         """Yield valid entries in order, stopping at the first corrupt one.
 

@@ -887,6 +887,14 @@ class ObjectStore:
         with self._lock:
             return self._log.read_bytes(start, end)
 
+    def entry_end(self, lsn: int) -> int:
+        """Where the log entry starting at ``lsn`` ends — the smallest
+        range the shipper may frame from there, so a frame never splits
+        an entry.  Read under the store lock, like
+        :meth:`read_log_bytes`."""
+        with self._lock:
+            return self._log.entry_end(lsn)
+
     def fingerprint(self, upto: int | None = None) -> str:
         """SHA-256 over log bytes ``[0, upto)`` (default: the commit LSN).
 

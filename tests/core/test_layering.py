@@ -14,10 +14,11 @@ import repro
 SRC = Path(repro.__file__).resolve().parent
 PRIVATE = re.compile(
     r"\b(_objects|_extents|_dirty|_pending_deletes|_meta_oid|_META_CLASS"
-    r"|_to_record|_from_record|_remove_object)\b"
+    r"|_to_record|_from_record|_remove_object|_allocator)\b"
 )
-#: ``PObject._dirty`` is the handle's own flag, not the schema's table.
-OWN_FLAG = re.compile(r"\b(obj|rel|self)\._dirty\b")
+#: ``PObject._dirty`` is the handle's own flag, not the schema's table;
+#: ``ObjectStore._allocator`` is the store's own, not the schema's.
+OWN_FLAG = re.compile(r"\b(obj|rel|self)\._dirty\b|\bself\._allocator\b")
 
 
 def test_schema_privates_are_named_only_in_core():

@@ -138,6 +138,28 @@ class TestPullEndpoint:
         )
         assert status == 400
 
+    def test_max_bytes_never_splits_an_entry(self, topology, tmp_path):
+        pserver, _, primary, *_ = topology
+        write_entry(primary, "x" * 5000, 1)
+
+        class SmallFrames(HttpPullTransport):
+            def pull(self, from_lsn, **kwargs):
+                return super().pull(from_lsn, **{**kwargs, "max_bytes": 1024})
+
+        wide = PrometheusDB(tmp_path / "wide.plog", read_only=True)
+        declare(wide)
+        wide.load()
+        transport = SmallFrames(pserver.url)
+        try:
+            ReplicationClient(
+                ReplicaApplier(wide), transport, name="wide"
+            ).catch_up(deadline_s=10.0)
+            assert wide.store.fingerprint() == primary.store.fingerprint()
+            assert wide.query("select count(e) from e in Entry") == [1]
+        finally:
+            transport.close()
+            wide.close()
+
 
 class TestEndToEnd:
     def test_replica_follows_and_serves_reads(self, topology):

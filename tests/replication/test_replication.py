@@ -111,6 +111,20 @@ class TestShipper:
         assert cursor == primary.store.commit_lsn
         assert chunks > 1
 
+    def test_entry_longer_than_max_bytes_ships_whole(self, tmp_path, primary):
+        # max_bytes limits batching, never a single entry: a record
+        # larger than the ceiling must still replicate.
+        write_entry(primary, "x" * 5000, 1)
+        shipper = LogShipper(primary.store, max_bytes=1024)
+        rdb, applier, client = make_replica(tmp_path, shipper, "wide")
+        try:
+            client.catch_up(deadline_s=10.0)
+            assert applier.applied_lsn == primary.store.commit_lsn
+            assert rdb.store.fingerprint() == primary.store.fingerprint()
+            assert rdb.query("select count(e) from e in Entry") == [1]
+        finally:
+            rdb.close()
+
     def test_lag_tracks_acked_cursor(self, primary, shipper):
         write_entry(primary, "a", 1)
         shipper.pull(BASE_LSN, replica="r")
