@@ -13,24 +13,31 @@ conformance suite — from a single-threaded ``asyncio`` event loop:
   (a reader coroutine parses and dispatches, a writer coroutine drains
   an ordered queue), so a pipelined client can never observe a
   reordering.
-* **Bounded worker pool**: the engine is synchronous, so requests are
-  bridged onto a ``ThreadPoolExecutor``.  The event loop itself never
-  touches the engine, the access log, or serialization — parsing and
-  socket I/O only — which is what keeps loop stalls bounded (the
-  watchdog below measures them; the regression test asserts <50 ms
-  under soak).
+* **Cache hits on the loop, everything else on a bounded worker
+  pool**: a request whose pre-serialized response is in the
+  handlers' response cache is answered on the loop thread — a cache
+  probe, the shared trace/access-log/metrics envelope, one socket
+  write (:meth:`~repro.engine.handlers.HttpHandlers.serve_cached`).
+  The engine is synchronous, so misses and uncacheable routes are
+  bridged onto a ``ThreadPoolExecutor``, carrying the cache slot the
+  loop armed.  The loop never runs a route, a query or a serializer,
+  which is what keeps loop stalls bounded (the watchdog below
+  measures them; the regression test asserts <50 ms under soak).
 * **Backpressure instead of collapse**: when ``queue_cap`` requests
-  are already queued-or-running, new requests are answered ``503``
-  with a ``Retry-After`` header *immediately* — the loop stays
-  responsive and the engine's latency stays flat while clients back
-  off.  A connection cap bounds file descriptors the same way.
-  Rejections are counted authoritatively on the loop thread and
-  reconciled into ``repro_server_rejected_total`` at ``/metrics``
-  scrape time.
+  are already queued-or-running on the pool, new pool-bound requests
+  are answered ``503`` with a ``Retry-After`` header *immediately* —
+  the loop stays responsive and the engine's latency stays flat while
+  clients back off; cache hits never queue and are never shed.  A
+  connection cap bounds file descriptors the same way.  Rejections
+  are counted authoritatively on the loop thread and reconciled into
+  ``repro_server_rejected_total`` at ``/metrics`` scrape time.
 * **Slow-loris defense**: a request that dribbles its head or body is
-  cut off by ``header_timeout_s``/``body_timeout_s`` (408); an idle
+  cut off by ``header_timeout_s``/``body_timeout_s`` (408) — one timer
+  for everything after the request line, one for the body; an idle
   keep-alive connection is closed quietly after ``idle_timeout_s``.
-  A stuck client holds one connection, never a worker thread.
+  A stuck client holds one connection, never a worker thread.  A head
+  line past the stream's buffer limit is answered ``400``; a client
+  that closes mid-body is a plain disconnect.
 
 The event-loop watchdog reschedules itself every 10 ms and records the
 worst observed scheduling drift in ``max_stall_ms`` (exported as the
@@ -81,7 +88,7 @@ class AsyncPrometheusServer:
     knobs (all keyword-only)::
 
         workers          worker threads bridging to the sync engine (8)
-        queue_cap        max requests queued-or-running before 503 (64)
+        queue_cap        max pool requests queued-or-running before 503 (64)
         max_connections  max open client connections (256)
         header_timeout_s slow-loris cutoff for a request head (5.0)
         body_timeout_s   slow-loris cutoff for a request body (10.0)
@@ -301,8 +308,10 @@ class AsyncPrometheusServer:
                     if not first or not reader.at_eof():
                         await queue.put((_completed(_timeout_408()), False))
                     break
-                except (ConnectionError, OSError):
-                    break
+                except (
+                    ConnectionError, OSError, asyncio.IncompleteReadError
+                ):
+                    break  # the client went away, mid-request or not
                 first = False
                 if item is None:  # clean EOF between requests
                     break
@@ -335,40 +344,41 @@ class AsyncPrometheusServer:
         Returns ``None`` on clean EOF, a ``(Request, keep_alive)`` pair
         normally, or a ``(Response, False)`` pair when the bytes are
         unserviceable (parse error, oversized).  Raises
-        ``asyncio.TimeoutError`` on idle or slow-loris cutoff.
+        ``asyncio.TimeoutError`` on idle or slow-loris cutoff and
+        ``asyncio.IncompleteReadError`` when the body is cut short.
         """
-        # The request line may take a while to *start* (keep-alive
-        # reuse is idle time, not an attack) but once a request is in
-        # flight its head must complete promptly.
-        line = await asyncio.wait_for(
-            reader.readline(),
-            self.idle_timeout_s if not first else self.header_timeout_s,
-        )
-        if not line:
-            return None
-        deadline_head = asyncio.get_running_loop().time() + self.header_timeout_s
-        if len(line) > _MAX_HEAD_BYTES:
-            return _bad_request("request line too long"), False
-        try:
-            method, target, version = line.decode("latin-1").strip().split()
-        except ValueError:
-            return _bad_request("malformed request line"), False
         headers: dict[str, str] = {}
-        head_bytes = len(line)
-        while True:
-            budget = deadline_head - asyncio.get_running_loop().time()
-            if budget <= 0:
-                raise asyncio.TimeoutError
-            raw = await asyncio.wait_for(reader.readline(), budget)
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            head_bytes += len(raw)
-            if head_bytes > _MAX_HEAD_BYTES:
-                return _bad_request("request head too large"), False
-            text = raw.decode("latin-1").rstrip("\r\n")
-            name, sep, value = text.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
+        try:
+            # The request line may take a while to *start* (keep-alive
+            # reuse is idle time, not an attack) but once a request is
+            # in flight its whole head must complete promptly.
+            with _Deadline(
+                self.idle_timeout_s if not first else self.header_timeout_s
+            ):
+                line = await reader.readline()
+            if not line:
+                return None
+            if len(line) > _MAX_HEAD_BYTES:
+                return _bad_request("request line too long"), False
+            parts = line.decode("latin-1").split()
+            if len(parts) != 3:
+                return _bad_request("malformed request line"), False
+            method, target, version = parts
+            head_bytes = len(line)
+            with _Deadline(self.header_timeout_s):
+                while True:
+                    raw = await reader.readline()
+                    if raw in (b"\r\n", b"\n", b""):
+                        break
+                    head_bytes += len(raw)
+                    if head_bytes > _MAX_HEAD_BYTES:
+                        return _bad_request("request head too large"), False
+                    text = raw.decode("latin-1").rstrip("\r\n")
+                    name, sep, value = text.partition(":")
+                    if sep:
+                        headers[name.strip().lower()] = value.strip()
+        except ValueError:  # a line longer than the StreamReader's limit
+            return _bad_request("request head too large"), False
         try:
             length = int(headers.get("content-length", "0") or 0)
         except ValueError:
@@ -377,9 +387,8 @@ class AsyncPrometheusServer:
             return _bad_request("request body too large"), False
         body = b""
         if length:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), self.body_timeout_s
-            )
+            with _Deadline(self.body_timeout_s):
+                body = await reader.readexactly(length)
         connection = headers.get("connection", "").lower()
         if version.upper() == "HTTP/1.0":
             keep_alive = connection == "keep-alive"
@@ -388,7 +397,11 @@ class AsyncPrometheusServer:
         return Request(method, target, headers, body), keep_alive
 
     def _dispatch(self, request: Request) -> Awaitable[Response]:
-        """Bridge one request onto the worker pool — or reject it now."""
+        """Answer a response-cache hit right here on the loop; bridge
+        anything else onto the worker pool — or reject it now."""
+        hit = self.handlers.serve_cached(request)
+        if hit is not None:
+            return _completed(hit)
         if self._inflight >= self.queue_cap:
             self.rejected += 1
             return _completed(_overloaded(self.retry_after_s))
@@ -432,6 +445,40 @@ class AsyncPrometheusServer:
                     return
         except (ConnectionError, OSError):
             return  # client went away mid-response
+
+
+class _Deadline:
+    """Cut the awaits of one ``with`` block off after ``seconds``.
+
+    ``asyncio.timeout`` for Python 3.10: a timer cancels the current
+    task and the block turns that cancellation into
+    ``asyncio.TimeoutError``.  Unlike ``asyncio.wait_for`` it starts no
+    Task, so a whole request head costs one timer however many lines
+    it has.
+    """
+
+    def __init__(self, seconds: float) -> None:
+        self._seconds = seconds
+        self._expired = False
+
+    def __enter__(self) -> None:
+        self._task = asyncio.current_task()
+        self._timer = asyncio.get_running_loop().call_later(
+            self._seconds, self._expire
+        )
+
+    def _expire(self) -> None:
+        self._expired = True
+        self._task.cancel()
+
+    def __exit__(self, exc_type: Any, *_: object) -> None:
+        self._timer.cancel()
+        if self._expired and exc_type is asyncio.CancelledError:
+            # Ours alone becomes a timeout; if the task was also
+            # cancelled from outside (3.11+ can tell), that one wins.
+            uncancel = getattr(self._task, "uncancel", None)
+            if uncancel is None or uncancel() == 0:
+                raise asyncio.TimeoutError from None
 
 
 def _completed(response: Response) -> "asyncio.Future[Response]":

@@ -28,7 +28,10 @@ owns three throughput features:
   changes the stamp and the entry misses — a cache hit never serves a
   stale byte.  Hits skip parsing, planning, evaluation *and*
   serialization; the ``repro_server_response_cache_*`` counters are
-  reconciled at scrape time.
+  reconciled at scrape time.  :meth:`HttpHandlers.serve_cached` is the
+  hit half alone, for the async front end's event loop: it never runs
+  a route, and on a miss it leaves the armed slot on the request so
+  the worker's :meth:`HttpHandlers.handle` does not look it up twice.
 * **Batched resolution** — ``POST /resolve`` answers many
   name→object/lineage lookups in one round-trip (the set-at-a-time
   access the OverRelational Manifesto argues a storage boundary should
@@ -126,6 +129,10 @@ class Request:
     path: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    #: The ``(key, stamp)`` response-cache slot armed by a front end
+    #: whose one lookup (:meth:`HttpHandlers.serve_cached`) missed:
+    #: :meth:`HttpHandlers.handle` fills it instead of probing again.
+    cache_slot: tuple[tuple, tuple] | None = None
 
     def header(self, name: str, default: str | None = None) -> str | None:
         return self.headers.get(name, default)
@@ -275,7 +282,32 @@ class HttpHandlers:
     # -- the entry point ---------------------------------------------------
 
     def handle(self, request: Request) -> Response:
-        """Route + catch errors + emit the access log and HTTP metrics.
+        """Serve one request: the response cache, else the route."""
+        started = time.perf_counter_ns()
+        return self._envelope(_Exchange(self, request), started, serve=True)
+
+    def serve_cached(self, request: Request) -> Response | None:
+        """The cache-hit half of :meth:`handle`, for a front end that
+        answers hits itself and hands only the rest to workers.
+
+        Returns the hit (through the same envelope as :meth:`handle`),
+        or ``None`` — after arming ``request.cache_slot`` on a miss, so
+        the later :meth:`handle` neither probes nor counts it again.
+        Never runs a route: cheap enough for an event-loop thread.
+        """
+        started = time.perf_counter_ns()
+        exchange = _Exchange(self, request)
+        if not self._probe_cache(exchange):
+            request.cache_slot = exchange._cache_slot
+            return None
+        return self._envelope(exchange, started, serve=False)
+
+    def _envelope(
+        self, exchange: "_Exchange", started: int, serve: bool
+    ) -> Response:
+        """Route (when ``serve``) + catch errors + emit the access log
+        and HTTP metrics; ``serve=False`` wraps a response the cache
+        already filled in.
 
         Trace propagation happens here, once for every route and both
         front ends: an inbound ``traceparent`` header is activated
@@ -285,7 +317,7 @@ class HttpHandlers:
         telemetry is enabled, and the trace id is stamped into the
         response header, error payloads and access log.
         """
-        started = time.perf_counter_ns()
+        request = exchange.request
         method = request.method or "?"
         remote = propagation.parse_traceparent(
             request.header("traceparent")
@@ -294,7 +326,6 @@ class HttpHandlers:
             propagation.push(remote)
         tel = self.db.telemetry
         span = None
-        exchange = _Exchange(self, request)
         if tel.enabled:
             span = tel.tracer.span(
                 "http.request",
@@ -308,7 +339,7 @@ class HttpHandlers:
                 remote.trace_id if remote is not None else None
             )
         try:
-            if not self._serve_cached(exchange):
+            if serve and not self._probe_cache(exchange):
                 exchange.dispatch()
         except PrometheusError as exc:
             exchange._error(400, str(exc))
@@ -403,9 +434,14 @@ class HttpHandlers:
             wire.accepts_repb(request.header("accept")),
         )
 
-    def _serve_cached(self, exchange: "_Exchange") -> bool:
+    def _probe_cache(self, exchange: "_Exchange") -> bool:
         """Try the pre-serialized cache; arm insertion on miss."""
-        key = self._cache_key(exchange.request)
+        request = exchange.request
+        if request.cache_slot is not None:
+            # Already looked up (and counted) by the front end.
+            exchange._cache_slot = request.cache_slot
+            return False
+        key = self._cache_key(request)
         if key is None:
             return False
         stamp = self._stamp()
