@@ -116,7 +116,9 @@ def test_http_hop_propagation_overhead(bench_recorder):
 
     Four arms — {disabled, enabled} telemetry x {bare, traceparent}
     request — measured as per-request medians over a keep-alive
-    connection.  Propagation parse/push/pop is a handful of string and
+    connection.  The repeated body is a response-cache hit answered on
+    the event loop, which adopts ``traceparent`` in the same envelope a
+    miss does.  Propagation parse/push/pop is a handful of string and
     list operations, so the bound here is a generous absolute sanity
     check (the hard <3% gate stays on the in-process query path above,
     where the noise floor allows a tight limit).
@@ -124,7 +126,7 @@ def test_http_hop_propagation_overhead(bench_recorder):
     import http.client
     import json as _json
 
-    from repro.engine import PrometheusServer
+    from repro.engine import AsyncPrometheusServer
     from repro.telemetry import format_traceparent, propagation
 
     requests_per_arm = 60
@@ -154,7 +156,7 @@ def test_http_hop_propagation_overhead(bench_recorder):
     results = {}
     for mode, enabled in (("disabled", False), ("enabled", True)):
         db, _ = _build_db(Telemetry(enabled=enabled))
-        with PrometheusServer(db) as server:
+        with AsyncPrometheusServer(db) as server:
             arm_us(server.url, with_header=False)  # warm the connection path
             bare_us = arm_us(server.url, with_header=False)
             traced_us = arm_us(server.url, with_header=True)

@@ -13,7 +13,7 @@ Run:  python examples/federation.py
 
 from __future__ import annotations
 
-from repro.engine import Federation, PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, Federation, PrometheusDB
 from repro.taxonomy import (
     FloraParameters,
     TaxonomyDatabase,
@@ -21,7 +21,9 @@ from repro.taxonomy import (
 )
 
 
-def start_node(name: str, seed: int) -> tuple[PrometheusServer, TaxonomyDatabase]:
+def start_node(
+    name: str, seed: int
+) -> tuple[AsyncPrometheusServer, TaxonomyDatabase]:
     db = PrometheusDB(name=name)
     taxdb = TaxonomyDatabase.over_engine(db)
     generate_flora(
@@ -35,7 +37,7 @@ def start_node(name: str, seed: int) -> tuple[PrometheusServer, TaxonomyDatabase
         taxdb=taxdb,
         classification_name=f"{name} regional flora",
     )
-    server = PrometheusServer(db)
+    server = AsyncPrometheusServer(db)
     server.start()
     return server, taxdb
 

@@ -14,7 +14,7 @@ import json
 import sys
 import urllib.request
 
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 from repro.taxonomy import NameDeriver, build_shapes_scenario
 from repro.taxonomy.model import TaxonomyDatabase
 
@@ -43,7 +43,7 @@ def main() -> None:
         scenario.classifications["T3"]
     )
 
-    server = PrometheusServer(db)
+    server = AsyncPrometheusServer(db)
     server.start()
     base = server.url
     print(f"serving on {base}\n")

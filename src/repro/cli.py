@@ -528,11 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(asyncio front end: keep-alive, pipelining, backpressure)",
     )
     parser.add_argument(
-        "--serve-threaded", action="store_true",
-        help="serve with the legacy thread-per-connection front end "
-        "instead of the asyncio one",
-    )
-    parser.add_argument(
         "--serve-workers", metavar="N", type=int, default=8,
         help="worker threads bridging the async front end to the "
         "engine (default 8)",
@@ -763,31 +758,18 @@ def main(argv: list[str] | None = None, out: IO[str] = sys.stdout) -> int:
     )
     try:
         if args.serve is not None:
-            if args.serve_threaded:
-                from .engine import PrometheusServer
+            from .engine import AsyncPrometheusServer
 
-                server = PrometheusServer(
-                    db,
-                    port=args.serve,
-                    shipper=shipper,
-                    replica_client=replica_client,
-                    primary_url=args.replica_of,
-                    ha=ha,
-                    federation=federation,
-                )
-            else:
-                from .engine import AsyncPrometheusServer
-
-                server = AsyncPrometheusServer(
-                    db,
-                    port=args.serve,
-                    shipper=shipper,
-                    replica_client=replica_client,
-                    primary_url=args.replica_of,
-                    ha=ha,
-                    federation=federation,
-                    workers=args.serve_workers,
-                )
+            server = AsyncPrometheusServer(
+                db,
+                port=args.serve,
+                shipper=shipper,
+                replica_client=replica_client,
+                primary_url=args.replica_of,
+                ha=ha,
+                federation=federation,
+                workers=args.serve_workers,
+            )
             server.start()
             print(f"serving on {server.url} (Ctrl-C to stop)", file=out, flush=True)
             try:

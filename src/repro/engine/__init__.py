@@ -3,9 +3,9 @@
 * :class:`PrometheusDB` — the assembled system.
 * :class:`IndexManager` / :class:`BTree` — the index layer.
 * :class:`ViewManager` — the views layer.
-* :class:`PrometheusServer` — the threaded HTTP access layer.
-* :class:`AsyncPrometheusServer` — the asyncio HTTP access layer
-  (keep-alive, pipelining, backpressure) over the same handlers.
+* :class:`AsyncPrometheusServer` — the HTTP access layer (asyncio:
+  keep-alive, pipelining, backpressure) over the :class:`HttpHandlers`
+  core.
 """
 
 from .aserver import AsyncPrometheusServer
@@ -21,9 +21,8 @@ from .federation import (
     RemoteDatabase,
     RetryPolicy,
 )
-from .handlers import HttpHandlers, Request, Response
+from .handlers import HttpHandlers, Request, Response, jsonable
 from .indexes import Index, IndexKind, IndexManager
-from .server import PrometheusServer, jsonable
 from .views import View, ViewManager
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "dump_json",
     "dump_schema",
     "load_dump",
-    "PrometheusServer",
     "RemoteDatabase",
     "View",
     "ViewManager",

@@ -1,11 +1,14 @@
-"""Asyncio HTTP front end: keep-alive, pipelining, backpressure.
+"""The HTTP front end (thesis §6.1.7): keep-alive, pipelining, backpressure.
 
-The threaded front end (:mod:`repro.engine.server`) spends most of a
-hot read's budget on the transport: a thread per connection, a TCP
-handshake per request (HTTP/1.0), and stdlib request parsing.  This
-module serves the *same* :class:`~repro.engine.handlers.HttpHandlers`
-core — every route, byte-identical bodies, proven by the differential
-conformance suite — from a single-threaded ``asyncio`` event loop:
+Remote clients — the thesis's taxonomic front-ends — browse the schema,
+fetch objects, run POOL queries and inspect classifications over HTTP
+without linking the database; the route reference is
+``docs/SERVER.md``.  All routing, serialization, tracing and metrics
+live in the transport-agnostic :class:`~repro.engine.handlers.
+HttpHandlers` core; this module is only its transport — every route,
+byte-identical to calling the core in process, proven by the
+differential conformance suite — on a single-threaded ``asyncio``
+event loop:
 
 * **Keep-alive + pipelining** (HTTP/1.1): one connection carries many
   requests; a client may send the next request before the previous
@@ -43,11 +46,6 @@ The event-loop watchdog reschedules itself every 10 ms and records the
 worst observed scheduling drift in ``max_stall_ms`` (exported as the
 ``repro_server_loop_max_stall_ms`` gauge) — if blocking work ever
 creeps back onto the loop, the soak regression test catches it.
-
-:class:`AsyncPrometheusServer` is drop-in API-compatible with
-:class:`~repro.engine.server.PrometheusServer` (``url``, ``address``,
-``start``/``stop``, context manager), so the CLI, federation, HA
-harnesses and benches can swap front ends with one flag.
 """
 
 from __future__ import annotations
@@ -83,9 +81,11 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 class AsyncPrometheusServer:
     """Selector/asyncio HTTP server over the shared request handlers.
 
-    The constructor takes the same node wiring as
-    :class:`~repro.engine.server.PrometheusServer` plus the transport
-    knobs (all keyword-only)::
+    The positional arguments are the node's wiring, passed through to
+    :class:`~repro.engine.handlers.HttpHandlers`: ``federation``
+    (the client-side view of peers; ``/health`` reports each peer's
+    circuit breaker), the replication roles, the HA controller and
+    the failover supervisor.  The transport knobs are keyword-only::
 
         workers          worker threads bridging to the sync engine (8)
         queue_cap        max pool requests queued-or-running before 503 (64)

@@ -1,19 +1,17 @@
 """Transport-agnostic HTTP request handling (the server's brain).
 
-Both front ends — the threaded :class:`~repro.engine.server.PrometheusServer`
-(stdlib ``http.server``) and the asyncio
-:class:`~repro.engine.aserver.AsyncPrometheusServer` — delegate every
-request to one :class:`HttpHandlers` instance.  A front end parses
-bytes into a :class:`Request`, calls :meth:`HttpHandlers.handle`, and
-writes the returned :class:`Response` back to its socket.  Because the
+The front end (:class:`~repro.engine.aserver.AsyncPrometheusServer`)
+delegates every request to one :class:`HttpHandlers` instance: it
+parses bytes into a :class:`Request`, calls :meth:`HttpHandlers.handle`
+(or :meth:`HttpHandlers.serve_cached` for a loop-side hit), and writes
+the returned :class:`Response` back to its socket.  Because the
 routing, serialization, tracing, access logging and metrics all live
-here, the two front ends are behaviourally identical by construction —
-the property the differential suite
-(``tests/engine/test_server_differential.py``) then proves request by
-request.
+here, the core can be called in process without a socket — the oracle
+the differential suite (``tests/engine/test_server_differential.py``)
+replays against the served front end, request by request.
 
-Beyond the routes documented in :mod:`repro.engine.server`, this layer
-owns three throughput features:
+Beyond the routes documented in ``docs/SERVER.md``, this layer owns
+three throughput features:
 
 * **Content negotiation** — ``Accept: application/x-repb`` answers with
   the compact checksummed REPB v1 binary codec (:mod:`repro.engine.wire`)
@@ -146,8 +144,6 @@ class Response:
     content_type: str = "application/json"
     body: bytes = b""
     headers: list[tuple[str, str]] = field(default_factory=list)
-    #: Served from the pre-serialized response cache (diagnostics).
-    cached: bool = False
 
 
 class ResponseCache:
@@ -211,9 +207,8 @@ class HttpHandlers:
     """The shared request brain: route, serialize, trace, count.
 
     One instance per served node; safe to call from many threads at
-    once (the threaded server's handler threads, the async server's
-    worker pool).  Holds the node wiring that used to live on the
-    stdlib handler class: database, federation view, replication
+    once (the front end's worker pool and its event-loop thread).
+    Holds the node wiring: database, federation view, replication
     roles, HA controller, supervisor.
     """
 
@@ -229,13 +224,6 @@ class HttpHandlers:
         started_at: float = 0.0,
         cache_capacity: int = 256,
     ) -> None:
-        if ha is not None:
-            if shipper is None:
-                shipper = ha.shipper
-            if replica_client is None:
-                replica_client = ha.replica_client
-            if primary_url is None:
-                primary_url = ha.primary_url
         self.db = db
         self.federation = federation
         self.shipper = shipper
@@ -279,6 +267,13 @@ class HttpHandlers:
             return self.ha.primary_url
         return self.primary_url
 
+    def _epoch(self) -> int:
+        """The cluster epoch this node serves under."""
+        if self.ha is not None:
+            return self.ha.epoch
+        store = self.db.store
+        return store.cluster_epoch if store is not None else 0
+
     # -- the entry point ---------------------------------------------------
 
     def handle(self, request: Request) -> Response:
@@ -309,8 +304,8 @@ class HttpHandlers:
         and HTTP metrics; ``serve=False`` wraps a response the cache
         already filled in.
 
-        Trace propagation happens here, once for every route and both
-        front ends: an inbound ``traceparent`` header is activated
+        Trace propagation happens here, once for every route, hit or
+        miss: an inbound ``traceparent`` header is activated
         *as-is* (so the server span's parent is exactly the caller's
         recorded span id — the linkage a cross-node trace join relies
         on), a per-request ``http.request`` span is opened when
@@ -406,18 +401,12 @@ class HttpHandlers:
         against the old placement must not outlive it).
         """
         db = self.db
-        if self.ha is not None:
-            epoch = self.ha.epoch
-        elif db.store is not None:
-            epoch = db.store.cluster_epoch
-        else:
-            epoch = 0
         return (
             db.schema.version,
             db.indexes.epoch,
             db.lsn,
             db.schema.events.published,
-            epoch,
+            self._epoch(),
             db.shard_map_epoch,
         )
 
@@ -457,16 +446,14 @@ class HttpHandlers:
         exchange.response.status = 200
         exchange.response.content_type = content_type
         exchange.response.body = body
-        exchange.response.cached = True
         return True
 
 
 class _Exchange:
-    """Per-request state + every route, shared by both front ends.
+    """Per-request state + every route.
 
-    This is the stdlib handler's old body, lifted off the socket: it
-    reads a :class:`Request`, fills in a :class:`Response`, and never
-    touches a transport.
+    It reads a :class:`Request`, fills in a :class:`Response`, and
+    never touches a transport.
     """
 
     def __init__(self, core: HttpHandlers, request: Request) -> None:
@@ -519,17 +506,6 @@ class _Exchange:
             self._route_post()
         else:
             self._error(501, f"method {method!r} not supported")
-
-    # -- role helpers ------------------------------------------------------
-
-    def _shipper(self) -> Any:
-        return self.core._shipper()
-
-    def _replica_client(self) -> Any:
-        return self.core._replica_client()
-
-    def _primary(self) -> str | None:
-        return self.core._primary()
 
     # -- GET routes --------------------------------------------------------
 
@@ -591,19 +567,12 @@ class _Exchange:
             # Deliberately minimal: plain attribute reads only, no store
             # or session locks — a node wedged on a lock still answers,
             # and the failure detector measures *process* liveness.
-            ha = self.core.ha
             self._send(
                 200,
                 {
                     "status": "alive",
                     "role": self._role(),
-                    "epoch": ha.epoch
-                    if ha is not None
-                    else (
-                        db.store.cluster_epoch
-                        if db.store is not None
-                        else 0
-                    ),
+                    "epoch": self.core._epoch(),
                     "uptime_s": round(
                         time.time() - self.core.started_at, 3
                     )
@@ -674,9 +643,8 @@ class _Exchange:
             self._send(200, session.info())
             return
         if parts == ["replicate", "status"]:
-            shipper = self._shipper()
-            replica_client = self._replica_client()
-            ha = self.core.ha
+            shipper = self.core._shipper()
+            replica_client = self.core._replica_client()
             payload: dict[str, Any] = {
                 "role": self._role(),
                 "commit_lsn": db.store.commit_lsn
@@ -685,11 +653,7 @@ class _Exchange:
                 "applied_lsn": db.store.commit_lsn
                 if db.store is not None
                 else None,
-                "epoch": ha.epoch
-                if ha is not None
-                else (
-                    db.store.cluster_epoch if db.store is not None else 0
-                ),
+                "epoch": self.core._epoch(),
                 # The reign the log's data belongs to — the failover
                 # census ranks candidates by this, not the wire epoch.
                 "log_epoch": db.store.cluster_epoch
@@ -700,7 +664,7 @@ class _Exchange:
                 payload["shipping"] = shipper.status()
             if replica_client is not None:
                 payload["applying"] = replica_client.status()
-                payload["primary_url"] = self._primary()
+                payload["primary_url"] = self.core._primary()
             self._send(200, payload)
             return
         if parts == ["classifications"]:
@@ -781,8 +745,8 @@ class _Exchange:
                 }
                 for name in sorted(federation.nodes)
             }
-        shipper = self._shipper()
-        replica_client = self._replica_client()
+        shipper = self.core._shipper()
+        replica_client = self.core._replica_client()
         if shipper is not None or replica_client is not None:
             replication: dict[str, Any] = {"role": self._role()}
             if shipper is not None:
@@ -816,7 +780,7 @@ class _Exchange:
                 reasons.append("recovery-not-clean")
         if self.core.ha is not None and self.core.ha.fenced:
             reasons.append("fenced")
-        replica_client = self._replica_client()
+        replica_client = self.core._replica_client()
         if replica_client is not None and not replica_client.running:
             reasons.append("pull-loop-stopped")
         return not reasons, reasons
@@ -825,9 +789,9 @@ class _Exchange:
         ha = self.core.ha
         if ha is not None:
             return ha.role if not ha.fenced else "fenced"
-        if self._replica_client() is not None:
+        if self.core._replica_client() is not None:
             return "replica"
-        if self._shipper() is not None:
+        if self.core._shipper() is not None:
             return "primary"
         return "standalone"
 
@@ -844,7 +808,7 @@ class _Exchange:
         batch.  ``as_of`` reads resolve against immutable version
         chains, so on a replica they skip the applier's read lock
         entirely — time travel never waits behind a splice."""
-        replica_client = self._replica_client()
+        replica_client = self.core._replica_client()
         if replica_client is not None:
             return replica_client.applier.query(
                 text, params=params, as_of=as_of
@@ -971,7 +935,7 @@ class _Exchange:
         except SnapshotError as exc:
             self._snapshot_unavailable(exc)
             return
-        replica_client = self._replica_client()
+        replica_client = self.core._replica_client()
         try:
             if as_of is not None:
                 # Immutable snapshot view: no lock needed, identical on
@@ -1024,10 +988,6 @@ class _Exchange:
             return
         try:
             as_of = self._query_as_of(payload)
-        except SnapshotError as exc:
-            self._snapshot_unavailable(exc)
-            return
-        try:
             if as_of is not None:
                 schema, _ = self.db._snapshot_view(as_of)
             else:
@@ -1140,7 +1100,7 @@ class _Exchange:
 
     def _route_pull(self, payload: dict[str, Any]) -> None:
         """One replica pull against the local shipper (primary role)."""
-        shipper = self._shipper()
+        shipper = self.core._shipper()
         if shipper is None:
             self._error(404, "this node does not ship its log")
             return
@@ -1177,7 +1137,7 @@ class _Exchange:
                     "status": "stale-primary",
                     "conflict_kind": "stale-primary",
                     "epoch": ha.epoch if ha is not None else shipper.epoch,
-                    "primary_url": self._primary(),
+                    "primary_url": self.core._primary(),
                 },
             )
             return
@@ -1249,7 +1209,7 @@ class _Exchange:
                     "status": "stale-primary",
                     "conflict_kind": "stale-primary",
                     "epoch": exc.epoch,
-                    "primary_url": exc.primary_url or self._primary(),
+                    "primary_url": exc.primary_url or self.core._primary(),
                 },
             )
             return
@@ -1295,13 +1255,13 @@ class _Exchange:
             self._send(200, {"result": jsonable(result)})
             return
         if action in ("apply", "commit"):
-            if self._replica_client() is not None:
+            if self.core._replica_client() is not None:
                 self._send(
                     403,
                     {
                         "error": "this node is a read replica; "
                         "writes go to the primary",
-                        "primary_url": self._primary(),
+                        "primary_url": self.core._primary(),
                     },
                 )
                 return
@@ -1325,7 +1285,7 @@ class _Exchange:
                         "conflict_kind": "fenced",
                         "stale_primary": True,
                         "epoch": ha.epoch,
-                        "primary_url": self._primary(),
+                        "primary_url": self.core._primary(),
                         "retry": True,
                     },
                 )
@@ -1372,7 +1332,7 @@ class _Exchange:
                 "commit_lsn": session.last_commit_lsn,
             }
             min_acks = payload.get("wait_replicated")
-            shipper = self._shipper()
+            shipper = self.core._shipper()
             if min_acks and shipper is not None:
                 # Semi-synchronous ack: only report replicated=True once
                 # the commit's bytes were pulled by that many replicas.
@@ -1402,7 +1362,7 @@ class _Exchange:
                 "demoted": True,
                 "conflict_kind": "demoted",
                 "epoch": exc.epoch,
-                "primary_url": exc.primary_url or self._primary(),
+                "primary_url": exc.primary_url or self.core._primary(),
                 "retry": True,
             },
         )

@@ -3,7 +3,7 @@
 JSON is the server's lingua franca, but serializing (and parsing) text
 dominates the cost of a hot read once the engine itself is fast.  REPB
 is the negotiated alternative: the *same* JSON-able payload tree (the
-output of :func:`repro.engine.server.jsonable` — ``None``/``bool``/
+output of :func:`repro.engine.handlers.jsonable` — ``None``/``bool``/
 ``int``/``float``/``str``/``bytes``/``list``/``dict``) encoded as a
 length-prefixed, checksummed binary frame, typically 2-4x smaller and
 much cheaper to decode.
@@ -36,7 +36,8 @@ Dict keys must be strings; non-string keys are coerced exactly the way
 ``"null"``, numbers → their ``str``), so a payload decodes to the same
 tree whichever codec carried it.  Encoding is deterministic (dict
 insertion order is preserved), which is what lets the differential
-suite compare frames byte-for-byte across front ends.
+suite compare frames byte-for-byte between the handler core and the
+served front end.
 
 Negotiation is standard HTTP content negotiation: a client sends
 ``Accept: application/x-repb`` to receive REPB response bodies and/or

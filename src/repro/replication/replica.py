@@ -306,8 +306,9 @@ class HttpPullTransport:
     The transport holds one **persistent keep-alive connection** to the
     primary and reuses it pull after pull — against the asyncio front
     end the steady-state long-poll loop pays no TCP handshake per pull.
-    A primary that closes per response (the threaded HTTP/1.0 front
-    end) degrades transparently to connection-per-pull, and a stale
+    A primary that closes per response (an HTTP/1.0 peer, or one
+    answering ``Connection: close``) degrades transparently to
+    connection-per-pull, and a stale
     kept-alive socket (primary restarted between pulls) is retried once
     on a fresh connection before the error surfaces.
 
@@ -373,8 +374,8 @@ class HttpPullTransport:
                     raise
                 continue  # the kept-alive socket had died; retry once
             if response.will_close:
-                # HTTP/1.0 peer (threaded front end): per-request
-                # connections, exactly the old behavior.
+                # The peer closes after this response: the next pull
+                # opens a fresh connection.
                 self.close()
             return response.status, response.reason or "", body
         raise AssertionError("unreachable")  # pragma: no cover

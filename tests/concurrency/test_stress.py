@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import types as T
 from repro.core.attributes import Attribute
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 from repro.errors import ConflictError
 
 WRITERS = 8
@@ -164,7 +164,7 @@ class TestSessionsOverHttp:
         conflicts = {"n": 0}
         lock = threading.Lock()
 
-        with PrometheusServer(db) as server:
+        with AsyncPrometheusServer(db) as server:
             url = server.url
 
             def post(path, payload=None):

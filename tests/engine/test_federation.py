@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 from repro.engine.federation import (
     Federation,
     FederationError,
@@ -33,7 +33,7 @@ def federation():
         )
         # A shared name, published at both institutions.
         taxdb.publish_name("Apium", "Genus", author="L.", year=1753)
-        server = PrometheusServer(db)
+        server = AsyncPrometheusServer(db)
         server.start()
         servers.append(server)
         fed.add_node(name, server.url)

@@ -7,8 +7,12 @@ operator's view of all of it (/health, health_report, count_all
 degradation markers).
 """
 
+import http.client
 import json
+import logging
 import os
+import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -16,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 from repro.engine.federation import (
     CircuitBreaker,
     CircuitOpenError,
@@ -25,8 +29,7 @@ from repro.engine.federation import (
     RemoteDatabase,
     RetryPolicy,
 )
-from repro.engine.handlers import Response
-from repro.engine.server import _Handler
+from repro.replication import LogShipper
 from repro.storage import ObjectStore
 
 
@@ -298,7 +301,7 @@ class TestDeadline:
 
     def test_live_nodes_still_answer_alongside_a_hung_one(self, slow_server):
         db = PrometheusDB()
-        with PrometheusServer(db) as live:
+        with AsyncPrometheusServer(db) as live:
             fed = make_federation(retry=None, deadline=1.0)
             fed.add_node("hung", RemoteDatabase(slow_server, timeout=10.0))
             fed.add_node("live", RemoteDatabase(live.url, timeout=5.0))
@@ -320,7 +323,7 @@ def _get_json(url):
 
 class TestHealthEndpoint:
     def test_in_memory_db_reports_ok(self):
-        with PrometheusServer(PrometheusDB()) as server:
+        with AsyncPrometheusServer(PrometheusDB()) as server:
             status, body = _get_json(server.url + "/health")
         assert status == 200
         assert body["status"] == "ok"
@@ -330,7 +333,7 @@ class TestHealthEndpoint:
     def test_persistent_db_reports_recovery_details(self, tmp_path):
         path = tmp_path / "node.plog"
         with PrometheusDB(path=path) as db:
-            with PrometheusServer(db) as server:
+            with AsyncPrometheusServer(db) as server:
                 status, body = _get_json(server.url + "/health")
         assert body["status"] == "ok"
         assert body["store"]["recovery"]["clean"] is True
@@ -349,7 +352,7 @@ class TestHealthEndpoint:
             f.seek(boundaries[3] + 12)
             f.write(bytes([byte[0] ^ 0xFF]))
         with PrometheusDB(path=path) as db:
-            with PrometheusServer(db) as server:
+            with AsyncPrometheusServer(db) as server:
                 _, body = _get_json(server.url + "/health")
                 _, remote = (
                     200,
@@ -359,22 +362,46 @@ class TestHealthEndpoint:
         assert body["store"]["recovery"]["salvaged_entries"] > 0
         assert remote["status"] == "degraded"
 
-    def test_send_swallows_broken_pipe(self):
-        handler = object.__new__(_Handler)
-
-        class DeadPipe:
-            def write(self, data):
-                raise BrokenPipeError
-
-            def flush(self):
-                pass
-
-        handler.request_version = "HTTP/1.1"
-        handler.close_connection = False
-        handler.requestline = "GET /health HTTP/1.1"
-        handler.client_address = ("127.0.0.1", 0)
-        handler.command = "GET"
-        handler.wfile = DeadPipe()
-        response = Response(status=200, body=b'{"ok": true}')
-        handler._write_response(response)  # must not raise
-        assert handler.close_connection is True
+    def test_client_reset_before_the_answer_is_dropped_quietly(
+        self, tmp_path, caplog
+    ):
+        """A client that resets its connection while its query waits for
+        a worker costs only that connection: the late answer's write
+        fails without a traceback on the loop, the connection count
+        drains to zero, and the next client is served."""
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        db = PrometheusDB(path=tmp_path / "node.plog")
+        shipper = LogShipper(db.store, telemetry=db.telemetry)
+        with AsyncPrometheusServer(db, shipper=shipper, workers=1) as server:
+            parked = http.client.HTTPConnection(*server.address, timeout=15)
+            parked.request(
+                "POST",
+                "/replicate/pull",
+                json.dumps({"from_lsn": db.lsn, "wait_s": 1.0}).encode(),
+            )
+            time.sleep(0.2)  # let the pull take the only worker
+            body = b'{"query": "select count(c) from c in Object"}'
+            doomed = socket.create_connection(server.address, timeout=5)
+            doomed.sendall(
+                b"POST /query HTTP/1.1\r\nHost: node\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+            )
+            time.sleep(0.2)  # the query is queued behind the pull
+            doomed.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            doomed.close()  # RST, not FIN
+            assert parked.getresponse().status == 204
+            parked.close()
+            deadline = time.monotonic() + 5
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert server._connections == 0
+            status, _ = _get_json(server.url + "/health")
+            assert status == 200
+        db.close()
+        errors = [
+            r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ]
+        assert errors == []

@@ -8,9 +8,8 @@ import urllib.request
 
 import pytest
 
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB, jsonable
 from repro.engine.federation import Federation
-from repro.engine.server import jsonable
 from repro.taxonomy import build_shapes_scenario
 from repro.taxonomy.model import TaxonomyDatabase
 
@@ -20,7 +19,7 @@ def served():
     db = PrometheusDB()
     taxdb = TaxonomyDatabase.over_engine(db)
     scenario = build_shapes_scenario(taxdb)
-    with PrometheusServer(db) as server:
+    with AsyncPrometheusServer(db) as server:
         yield server.url, db, scenario
 
 
@@ -249,7 +248,7 @@ class TestHealth:
         gracefully: /health reports the absence and stays "ok"."""
         db = PrometheusDB(tmp_path / "log.db")
         db.store.last_recovery = None
-        with PrometheusServer(db) as server:
+        with AsyncPrometheusServer(db) as server:
             status, body = get(server.url + "/health")
         assert status == 200
         assert body["status"] == "ok"
@@ -262,7 +261,7 @@ class TestHealth:
         federation.add_node("n1", "http://127.0.0.1:1")
         federation.add_node("n2", "http://127.0.0.1:2")
         federation.attach_telemetry(db.telemetry)
-        with PrometheusServer(db, federation=federation) as server:
+        with AsyncPrometheusServer(db, federation=federation) as server:
             status, body = get(server.url + "/health")
         assert body["federation"] == {
             "n1": {"breaker": "closed", "consecutive_failures": 0},

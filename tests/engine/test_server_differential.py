@@ -1,15 +1,21 @@
-"""Differential conformance: threaded vs asyncio front end.
+"""Differential conformance: the handler core in process vs the served
+front end.
 
-Both front ends serve the same :class:`~repro.engine.handlers.
-HttpHandlers` core, so every route must answer **byte-identical**
-bodies and identical status codes.  This suite proves it the way
-``tests/query/test_differential.py`` proves evaluator/compiler
-agreement: replay a seeded corpus of requests — queries, time-travel
-reads, batched resolution, sessions with staged ops, commits, 409
-write-write conflicts, malformed bodies, unknown routes, binary REPB
-negotiation — against a threaded server and an async server built over
-identical databases, and compare every response.  On divergence a
-greedy shrinker minimizes the corpus before failing.
+The asyncio front end is only a transport over the
+:class:`~repro.engine.handlers.HttpHandlers` core, so every route must
+answer over HTTP with the status code and **byte-identical** body that
+calling :meth:`HttpHandlers.handle` directly gives.  This suite proves
+it the way ``tests/query/test_differential.py`` proves
+evaluator/compiler agreement: replay a seeded corpus of requests —
+queries, time-travel reads, batched resolution, sessions with staged
+ops, commits, 409 write-write conflicts, malformed bodies, unknown
+routes, binary REPB negotiation — in process against one core and over
+a keep-alive connection against an async server, each over an identical
+database, and compare every response.  What it can catch is what a
+transport can break: request parsing, response rendering, keep-alive,
+and cache hits answered on the event loop vs misses run on the worker
+pool.  On divergence a greedy shrinker minimizes the corpus before
+failing.
 
 Both databases run with telemetry DISABLED so responses carry no trace
 ids; the only volatile fields are session tokens (random), ``idle_s``
@@ -24,8 +30,13 @@ import re
 
 import pytest
 
-from repro.engine import AsyncPrometheusServer, PrometheusDB, PrometheusServer
-from repro.engine import wire
+from repro.engine import (
+    AsyncPrometheusServer,
+    HttpHandlers,
+    PrometheusDB,
+    Request,
+    wire,
+)
 from repro.taxonomy import build_shapes_scenario
 from repro.taxonomy.model import TaxonomyDatabase
 from repro.telemetry import DISABLED
@@ -168,18 +179,17 @@ def _gen_corpus(seed: int, count: int) -> list:
     return corpus
 
 
-class _Replay:
-    """Replays a corpus against one server, tracking its session tokens."""
+class _Connection:
+    """One keep-alive HTTP connection to the served front end."""
 
     def __init__(self, url: str):
         host, port = url.removeprefix("http://").split(":")
         self.conn = http.client.HTTPConnection(host, int(port), timeout=15)
-        self.tokens: list = []
 
     def close(self):
         self.conn.close()
 
-    def _roundtrip(self, method, path, body, headers):
+    def __call__(self, method, path, body, headers):
         for attempt in (0, 1):
             try:
                 self.conn.request(method, path, body=body, headers=headers)
@@ -193,6 +203,32 @@ class _Replay:
                 if attempt:
                     raise
         raise AssertionError("unreachable")
+
+
+def _in_process(core: HttpHandlers):
+    """The oracle: the handler core called directly, no socket."""
+
+    def roundtrip(method, path, body, headers):
+        response = core.handle(
+            Request(
+                method,
+                path,
+                {name.lower(): value for name, value in headers.items()},
+                body or b"",
+            )
+        )
+        return response.status, response.body
+
+    return roundtrip
+
+
+class _Replay:
+    """Replays a corpus through one ``(method, path, body, headers) ->
+    (status, body)`` round-trip, tracking that side's session tokens."""
+
+    def __init__(self, roundtrip):
+        self._roundtrip = roundtrip
+        self.tokens: list = []
 
     def run(self, item):
         kind, a, b, headers = item
@@ -253,35 +289,33 @@ def _normalize_repb(payload: bytes, replay: _Replay) -> bytes:
 
 
 def _run_pair(corpus):
-    """Replay ``corpus`` on fresh threaded + async servers.
+    """Replay ``corpus`` in process on a fresh handler core and over
+    HTTP on a fresh async server.
 
     Returns the index and the two (status, body) observations of the
     first divergence, or None when every response agrees.
     """
-    threaded = PrometheusServer(_build_db())
-    asynchronous = AsyncPrometheusServer(_build_db())
-    threaded.start()
-    asynchronous.start()
-    replay_t = _Replay(threaded.url)
-    replay_a = _Replay(asynchronous.url)
+    server = AsyncPrometheusServer(_build_db())
+    server.start()
+    connection = _Connection(server.url)
+    replay_c = _Replay(_in_process(HttpHandlers(_build_db())))
+    replay_a = _Replay(connection)
     try:
         for index, item in enumerate(corpus):
-            status_t, body_t = replay_t.run(item)
+            status_c, body_c = replay_c.run(item)
             status_a, body_a = replay_a.run(item)
-            if body_t[:4] == wire.MAGIC and body_a[:4] == wire.MAGIC:
-                norm_t = _normalize_repb(body_t, replay_t)
+            if body_c[:4] == wire.MAGIC and body_a[:4] == wire.MAGIC:
+                norm_c = _normalize_repb(body_c, replay_c)
                 norm_a = _normalize_repb(body_a, replay_a)
             else:
-                norm_t = replay_t.normalize(body_t)
+                norm_c = replay_c.normalize(body_c)
                 norm_a = replay_a.normalize(body_a)
-            if status_t != status_a or norm_t != norm_a:
-                return index, (status_t, norm_t), (status_a, norm_a)
+            if status_c != status_a or norm_c != norm_a:
+                return index, (status_c, norm_c), (status_a, norm_a)
         return None
     finally:
-        replay_t.close()
-        replay_a.close()
-        threaded.stop()
-        asynchronous.stop()
+        connection.close()
+        server.stop()
 
 
 def _shrink(corpus):
@@ -306,12 +340,12 @@ def test_threaded_and_async_front_ends_agree(seed):
     divergence = _run_pair(corpus)
     if divergence is None:
         return
-    index, threaded_obs, async_obs = divergence
+    index, core_obs, async_obs = divergence
     minimal = _shrink(corpus[: index + 1])
     pytest.fail(
-        f"front ends diverged (seed {seed}, request #{index}):\n"
-        f"  threaded: {threaded_obs[0]} {threaded_obs[1][:400]!r}\n"
-        f"  async:    {async_obs[0]} {async_obs[1][:400]!r}\n"
+        f"front end diverged from the core (seed {seed}, request #{index}):\n"
+        f"  in process: {core_obs[0]} {core_obs[1][:400]!r}\n"
+        f"  async:      {async_obs[0]} {async_obs[1][:400]!r}\n"
         f"  minimal corpus ({len(minimal)} requests):\n"
         + "\n".join(f"    {item!r}" for item in minimal)
         + "\n"

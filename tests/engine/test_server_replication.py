@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import types as T
 from repro.core.attributes import Attribute
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 from repro.replication import (
     BASE_LSN,
     HttpPullTransport,
@@ -67,12 +67,12 @@ def topology(tmp_path):
     replica.load()
     applier = ReplicaApplier(replica)
 
-    with PrometheusServer(primary, shipper=shipper) as pserver:
+    with AsyncPrometheusServer(primary, shipper=shipper) as pserver:
         client = ReplicationClient(
             applier, HttpPullTransport(pserver.url), name="r1",
             poll_wait_s=0.5,
         )
-        with PrometheusServer(
+        with AsyncPrometheusServer(
             replica,
             replica_client=client,
             primary_url=pserver.url,

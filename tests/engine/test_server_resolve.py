@@ -5,8 +5,8 @@ The thesis's front ends resolve *names* — a taxonomist types
 "Ranunculus" and expects every object carrying that name plus its
 placement in each classification.  ``/resolve`` does that for a whole
 batch in one round-trip; this suite pins its semantics (multi-class
-matches, lineage, missing names, error statuses) on both front ends,
-then exercises what rides on top: the response cache (hit on repeat,
+matches, lineage, missing names, error statuses) over HTTP, then
+exercises what rides on top: the response cache (hit on repeat,
 invalidation on commit, counter reconciliation) and the binary REPB
 codec negotiated via ``Accept``/``Content-Type``.
 """
@@ -16,12 +16,7 @@ import json
 
 import pytest
 
-from repro.engine import (
-    AsyncPrometheusServer,
-    PrometheusDB,
-    PrometheusServer,
-    wire,
-)
+from repro.engine import AsyncPrometheusServer, PrometheusDB, wire
 from repro.engine.handlers import MAX_RESOLVE_NAMES
 from repro.taxonomy import build_shapes_scenario
 from repro.taxonomy.model import TaxonomyDatabase
@@ -34,11 +29,10 @@ def _build_db() -> PrometheusDB:
     return db
 
 
-@pytest.fixture(scope="module", params=["threaded", "async"])
-def served(request):
+@pytest.fixture(scope="module", params=["async"])  # the id names the front end
+def served():
     db = _build_db()
-    cls = PrometheusServer if request.param == "threaded" else AsyncPrometheusServer
-    with cls(db) as server:
+    with AsyncPrometheusServer(db) as server:
         server.db = db
         yield server
 

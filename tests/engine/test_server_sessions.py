@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import types as T
 from repro.core.attributes import Attribute
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ def served():
     db.schema.define_relationship("ChildOf", "Taxon", "Taxon")
     genus = db.schema.create("Taxon", name="Quercus", rank="genus").oid
     db.commit()
-    with PrometheusServer(db) as server:
+    with AsyncPrometheusServer(db) as server:
         yield server.url, db, genus
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import types as T
 from repro.core.attributes import Attribute
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 from repro.engine.federation import Federation, RemoteDatabase
 from repro.replication import (
     UNBOUNDED,
@@ -59,11 +59,11 @@ def topology(tmp_path):
     replica.telemetry.set_node("replica")
     applier = ReplicaApplier(replica)
 
-    with PrometheusServer(primary, shipper=shipper) as pserver:
+    with AsyncPrometheusServer(primary, shipper=shipper) as pserver:
         client = ReplicationClient(
             applier, HttpPullTransport(pserver.url), name="r1"
         )
-        with PrometheusServer(
+        with AsyncPrometheusServer(
             replica,
             replica_client=client,
             primary_url=pserver.url,
@@ -317,7 +317,7 @@ class TestClusterEndpoints:
         federation = Federation(telemetry=primary.telemetry)
         federation.add_node("alpha", pserver.url)
         federation.add_node("beta", rserver.url)
-        agg_server = PrometheusServer(
+        agg_server = AsyncPrometheusServer(
             primary, federation=federation
         )
         agg_server.start()

@@ -13,7 +13,7 @@ import urllib.request
 
 import pytest
 
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 from repro.ha import HAController
 from repro.replication import (
     BASE_LSN,
@@ -66,7 +66,7 @@ def topology(tmp_path):
     replica.load()
     applier = ReplicaApplier(replica)
 
-    with PrometheusServer(primary, ha=pha) as pserver:
+    with AsyncPrometheusServer(primary, ha=pha) as pserver:
         client = ReplicationClient(
             applier,
             HttpPullTransport(pserver.url),
@@ -80,7 +80,7 @@ def topology(tmp_path):
             primary_url=pserver.url,
             make_transport=HttpPullTransport,
         )
-        with PrometheusServer(replica, ha=rha) as rserver:
+        with AsyncPrometheusServer(replica, ha=rha) as rserver:
             try:
                 yield pserver, rserver, primary, replica, pha, rha
             finally:
@@ -140,7 +140,7 @@ class TestHealthProbes:
     def test_ha_routes_404_without_controller(self, tmp_path):
         db = make_primary(tmp_path, "plain")
         try:
-            with PrometheusServer(db) as server:
+            with AsyncPrometheusServer(db) as server:
                 status, _ = request(server.url + "/ha/status")
                 assert status == 404
                 status, _ = request(
@@ -222,7 +222,7 @@ class TestDemotedSessions:
         # the client sees.
         db = make_primary(tmp_path, "solo")
         try:
-            with PrometheusServer(db) as server:
+            with AsyncPrometheusServer(db) as server:
                 _, body = request(server.url + "/session", "POST", {})
                 sid = body["session"]
                 request(

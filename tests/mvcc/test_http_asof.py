@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import types as T
 from repro.core.attributes import Attribute
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 
 
 def get(url):
@@ -38,7 +38,7 @@ def served():
         "Counter", [Attribute("label", T.STRING), Attribute("n", T.INTEGER)]
     )
     db.load()
-    with PrometheusServer(db) as server:
+    with AsyncPrometheusServer(db) as server:
         yield server.url, db
 
 

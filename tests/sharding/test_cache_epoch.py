@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.engine import PrometheusDB, PrometheusServer
+from repro.engine import AsyncPrometheusServer, PrometheusDB
 from repro.errors import StorageError
 
 
@@ -49,7 +49,7 @@ QUERY = {"query": "select t from t in Taxon"}
 class TestEpochInStamp:
     def test_stamp_includes_shard_map_epoch(self):
         db = _build_db()
-        server = PrometheusServer(db)
+        server = AsyncPrometheusServer(db)
         stamp = server.handlers._stamp()
         assert db.shard_map_epoch in stamp
         db.shard_map_epoch = 5
@@ -67,7 +67,7 @@ class TestEpochInStamp:
 class TestCacheInvalidation:
     def test_epoch_bump_invalidates_cached_response(self):
         db = _build_db()
-        with PrometheusServer(db) as server:
+        with AsyncPrometheusServer(db) as server:
             handlers = server.handlers
             first = _post(server, "/query", QUERY)
             hits_before = handlers.cache.hits
@@ -85,7 +85,7 @@ class TestCacheInvalidation:
 
     def test_unchanged_epoch_still_hits(self):
         db = _build_db()
-        with PrometheusServer(db) as server:
+        with AsyncPrometheusServer(db) as server:
             handlers = server.handlers
             _post(server, "/query", QUERY)
             hits_before = handlers.cache.hits
@@ -101,7 +101,7 @@ class TestCacheInvalidation:
         in-memory bump."""
         db = _build_db(os.path.join(tmp_path, "node.db"))
         try:
-            with PrometheusServer(db) as server:
+            with AsyncPrometheusServer(db) as server:
                 handlers = server.handlers
                 _post(server, "/query", QUERY)
                 hits_before = handlers.cache.hits
