@@ -684,15 +684,12 @@ def main(argv: list[str] | None = None, out: IO[str] = sys.stdout) -> int:
     replica_client = None
     remotes: dict[str, object] = {}
     if args.replica_of:
-        from .replication import (
-            HttpPullTransport,
-            ReplicaApplier,
-            ReplicationClient,
-        )
+        from .engine.federation import RemoteDatabase
+        from .replication import ReplicaApplier, ReplicationClient
 
         replica_client = ReplicationClient(
             ReplicaApplier(db),
-            HttpPullTransport(args.replica_of),
+            RemoteDatabase(args.replica_of),
             name=args.replica_name,
         )
         replica_client.start()
@@ -735,8 +732,8 @@ def main(argv: list[str] | None = None, out: IO[str] = sys.stdout) -> int:
             print("error: --ha needs --db (fencing lives in the log)",
                   file=sys.stderr)
             return 1
+        from .engine.federation import RemoteDatabase
         from .ha import HAController
-        from .replication import HttpPullTransport
 
         ha = HAController(
             db,
@@ -745,7 +742,7 @@ def main(argv: list[str] | None = None, out: IO[str] = sys.stdout) -> int:
             replica_client=replica_client,
             primary_url=args.replica_of,
             lease_ttl_s=args.ha_lease_ttl,
-            make_transport=HttpPullTransport,
+            make_transport=RemoteDatabase,
         )
 
     shell = Shell(

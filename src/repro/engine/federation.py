@@ -5,11 +5,13 @@ system over many localised taxonomic database systems" — the vision of
 herbarium-local Prometheus installations queried as one.  This module
 implements that layer on top of the HTTP access layer (§6.1.7):
 
-* :class:`RemoteDatabase` — a thin JSON client for one node;
+* :class:`RemoteDatabase` — the keep-alive HTTP client for one node
+  (queries, HA control calls, replication pulls);
 * :class:`Federation` — fans a POOL query out to every node, collects
-  per-node results, and offers the cross-herbarium conveniences the
-  thesis motivates (find a name anywhere; which nodes classify a given
-  epithet; aggregate counts).
+  per-node results, routes reads to replicas under a staleness bound,
+  and offers the cross-herbarium conveniences the thesis motivates
+  (find a name anywhere; which nodes classify a given epithet;
+  aggregate counts).
 
 The federation is read-only: each node stays autonomous (its own rules,
 its own classifications), which is exactly the multiple-overlapping-
@@ -39,17 +41,23 @@ degradation is *visible*:
 from __future__ import annotations
 
 import concurrent.futures
+import http.client
 import json
+import math
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterable
 
-from ..errors import PrometheusError, WireError
+from ..errors import (
+    PrometheusError,
+    ReplicationError,
+    StalePrimaryError,
+    WireError,
+)
 from ..telemetry import DISABLED, Telemetry, propagation
 from ..telemetry.metrics import parse_prometheus
 from . import wire
@@ -63,79 +71,135 @@ class CircuitOpenError(FederationError):
     """The node's circuit breaker is open; the call was not attempted."""
 
 
-class RemoteDatabase:
-    """JSON client for one Prometheus HTTP node.
+def _decode(content_type: str | None, raw: bytes) -> Any:
+    """A response body by its ``Content-Type``: REPB, text, or JSON."""
+    if wire.is_repb(content_type):
+        return wire.decode_frame(raw)
+    if content_type and content_type.startswith("text/plain"):
+        return raw.decode("utf-8")
+    return json.loads(raw.decode("utf-8"))
 
-    ``use_repb=True`` negotiates the compact REPB v1 binary codec
-    (:mod:`repro.engine.wire`) for response bodies via the ``Accept``
-    header; the decoded payload tree is identical to the JSON one, so
-    nothing else changes.  A server predating the codec simply keeps
-    answering JSON and the client accepts it — negotiation degrades,
-    never breaks.
+
+class RemoteDatabase:
+    """HTTP client for one Prometheus node — the one client of the wire.
+
+    Connections are kept alive: idle ones sit on a lock-guarded stack;
+    a call takes one (or opens one) and puts it back after a complete
+    response the server did not mark ``Connection: close``.  A
+    connection that raised or timed out is closed, never returned.  A
+    *reused* connection that fails before a status line (the server
+    closed it while idle) is retried once on a fresh one.
+
+    Every request asks for REPB response bodies (:mod:`repro.engine.wire`
+    decodes them to the same payload tree as JSON) and carries the
+    caller's ``traceparent``.  :meth:`pull` has the shipper's signature,
+    so a ``RemoteDatabase`` is also a replica's pull transport.
     """
 
-    def __init__(
-        self, url: str, timeout: float = 10.0, use_repb: bool = False
-    ) -> None:
+    def __init__(self, url: str, timeout: float = 10.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
-        self.use_repb = use_repb
+        parsed = urllib.parse.urlsplit(self.url)
+        if parsed.scheme != "http":
+            raise FederationError(f"{url}: only http:// URLs are supported")
+        self._host = parsed.hostname or "127.0.0.1"
+        self._port = parsed.port
+        self._prefix = parsed.path
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle kept-alive connections (idempotent)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     # -- raw HTTP ---------------------------------------------------------
 
-    @staticmethod
-    def _trace_headers() -> dict[str, str]:
-        """The outbound trace-context header, when a trace is active.
-
-        Every HTTP edge the client makes — fan-out queries, replication
-        status probes, HA control calls — carries the caller's
-        ``traceparent`` so the serving node's spans join the same trace.
-        """
+    def _request(
+        self,
+        method: str,
+        path: str,
+        payload: dict[str, Any] | None = None,
+        timeout: float | None = None,
+    ) -> tuple[int, str, str | None, bytes]:
+        """One request on a pooled connection: ``(status, reason,
+        content type, body)``.  Transport failures raise
+        ``http.client.HTTPException`` or ``OSError``."""
+        headers = {"Accept": wire.CONTENT_TYPE}
+        body = None
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
         ctx = propagation.current()
-        if ctx is None:
-            return {}
-        return {propagation.TRACEPARENT_HEADER: propagation.format_traceparent(ctx)}
-
-    def _open(self, path: str, data: bytes | None = None,
-              headers: dict[str, str] | None = None) -> Any:
-        merged = {**self._trace_headers(), **(headers or {})}
-        if self.use_repb:
-            merged.setdefault("Accept", wire.CONTENT_TYPE)
-        request = urllib.request.Request(
-            self.url + path, data=data, headers=merged
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
+        if ctx is not None:
+            headers[propagation.TRACEPARENT_HEADER] = (
+                propagation.format_traceparent(ctx)
+            )
+        if timeout is None:
+            timeout = self.timeout
+        for attempt in (0, 1):
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            reused = conn is not None
+            if conn is None:
+                conn = http.client.HTTPConnection(
+                    self._host, self._port, timeout=timeout
+                )
+            else:
+                conn.timeout = timeout
+                if conn.sock is not None:
+                    conn.sock.settimeout(timeout)
+            response = None
+            try:
+                conn.request(
+                    method, self._prefix + path, body=body, headers=headers
+                )
+                response = conn.getresponse()
                 raw = response.read()
-                if wire.is_repb(response.headers.get("Content-Type")):
-                    return wire.decode_frame(raw)
-                return json.loads(raw.decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError, WireError) as exc:
+            except BaseException as exc:
+                conn.close()
+                if (
+                    reused
+                    and not attempt
+                    and response is None
+                    and isinstance(exc, (http.client.HTTPException, OSError))
+                    and not isinstance(exc, TimeoutError)
+                ):
+                    continue  # the idle socket had died; retry once
+                raise
+            if response.will_close:
+                conn.close()
+            else:
+                with self._lock:
+                    self._idle.append(conn)
+            return (
+                response.status,
+                response.reason,
+                response.getheader("Content-Type"),
+                raw,
+            )
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def _open(
+        self, method: str, path: str, payload: dict[str, Any] | None = None
+    ) -> Any:
+        try:
+            status, reason, content_type, raw = self._request(
+                method, path, payload
+            )
+            if 200 <= status < 300:
+                return _decode(content_type, raw)
+        except (http.client.HTTPException, OSError, ValueError, WireError) as exc:
             raise FederationError(f"{self.url}{path}: {exc}") from exc
+        raise FederationError(f"{self.url}{path}: HTTP {status} {reason}")
 
     def _get(self, path: str) -> Any:
-        return self._open(path)
-
-    def _get_text(self, path: str) -> str:
-        request = urllib.request.Request(
-            self.url + path, headers=self._trace_headers()
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise FederationError(f"{self.url}{path}: {exc}") from exc
+        return self._open("GET", path)
 
     def _post(self, path: str, payload: dict[str, Any]) -> Any:
-        return self._open(
-            path,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
+        return self._open("POST", path, payload)
 
     # -- API ------------------------------------------------------------------
 
@@ -150,7 +214,7 @@ class RemoteDatabase:
 
     def classification(self, name: str) -> dict[str, Any]:
         return self._get(
-            "/classifications/" + urllib.request.quote(name, safe="")
+            "/classifications/" + urllib.parse.quote(name, safe="")
         )
 
     def extent(self, class_name: str) -> list[int]:
@@ -205,9 +269,65 @@ class RemoteDatabase:
     def replication_status(self) -> dict[str, Any]:
         return self._get("/replicate/status")
 
+    def pull(
+        self,
+        from_lsn: int,
+        prefix_crc: int | None = None,
+        wait_s: float = 0.0,
+        max_bytes: int | None = None,
+        replica: str = "",
+        epoch: int | None = None,
+    ) -> tuple[str, bytes | None]:
+        """``POST /replicate/pull`` with the
+        :class:`~repro.replication.stream.LogShipper` signature.
+
+        The socket timeout is the server-side long-poll budget
+        ``wait_s`` plus this client's ``timeout``, so a hung primary
+        stalls one pull, never the pull loop.  A 409 from a fenced peer
+        raises :class:`~repro.errors.StalePrimaryError`; transport
+        failures raise :class:`~repro.errors.ReplicationError`.
+        """
+        body: dict[str, Any] = {
+            "from_lsn": from_lsn,
+            "wait_s": wait_s,
+            "replica": replica,
+        }
+        if prefix_crc is not None:
+            body["prefix_crc"] = prefix_crc
+        if max_bytes is not None:
+            body["max_bytes"] = max_bytes
+        if epoch is not None:
+            body["epoch"] = epoch
+        try:
+            status, reason, content_type, payload = self._request(
+                "POST", "/replicate/pull", body, timeout=wait_s + self.timeout
+            )
+        except (http.client.HTTPException, OSError) as exc:
+            raise ReplicationError(f"pull failed: {exc}") from exc
+        if status == 204:
+            return "empty", None
+        if status == 200:
+            return "frame", payload
+        if status == 409:
+            try:
+                detail = _decode(content_type, payload)
+            except (ValueError, WireError):
+                detail = {}
+            if detail.get("status") == "stale-primary" or detail.get(
+                "stale_primary"
+            ):
+                raise StalePrimaryError(
+                    "pull rejected: peer fenced at epoch "
+                    f"{detail.get('epoch', 0)}",
+                    epoch=int(detail.get("epoch", 0) or 0),
+                    primary_url=detail.get("primary_url"),
+                )
+            return "diverged", None
+        raise ReplicationError(f"pull failed: HTTP {status} {reason}")
+
     def metrics_text(self) -> str:
         """Raw Prometheus exposition text from ``GET /metrics``."""
-        return self._get_text("/metrics")
+        return self._get("/metrics")
 
     def trace(self, trace_id: str) -> dict[str, Any]:
         """This node's retained spans of one trace."""
@@ -722,15 +842,17 @@ class Federation:
         by its own ``node/replica`` circuit breaker; fall back to the
         primary when the replica fails, reports no LSN, lags behind
         ``min_lsn`` (the caller's read-your-writes floor), or — when
-        ``staleness_bytes`` is set — lags the primary's commit LSN by
-        more than that many bytes.  ``served_by`` on each result records
+        ``staleness_bytes`` is set and finite — lags the primary's
+        commit LSN by more than that many bytes.  ``served_by`` on each result records
         which endpoint actually answered.
         """
 
         def read(name: str) -> tuple[Any, str]:
             replicas = self.replicas.get(name, {})
             floor = min_lsn
-            if replicas and staleness_bytes is not None:
+            if replicas and staleness_bytes is not None and (
+                staleness_bytes < math.inf
+            ):
                 # One probe of the primary's head bounds every replica.
                 try:
                     status = self._call_node(
@@ -740,7 +862,7 @@ class Federation:
                     replicas = {}  # no head to bound against: primary serves
                 else:
                     primary_lsn = int(status.get("commit_lsn") or 0)
-                    floor = max(floor, primary_lsn - int(staleness_bytes))
+                    floor = max(floor, primary_lsn - staleness_bytes)
             for replica_name in sorted(replicas):
                 key = f"{name}/{replica_name}"
                 client = replicas[replica_name]

@@ -803,17 +803,21 @@ class _Exchange:
         params: dict[str, Any] | None,
         as_of: int | None = None,
     ) -> Any:
-        """Run a read, under the applier's read lock on a replica so the
-        result is a commit-boundary snapshot, never a half-applied
-        batch.  ``as_of`` reads resolve against immutable version
-        chains, so on a replica they skip the applier's read lock
-        entirely — time travel never waits behind a splice."""
+        """Run a read at a commit boundary, never over a half-applied
+        batch: under the applier's read lock on a replica, under the
+        commit lock on a primary (a commit replays into the live object
+        layer before it publishes its LSN).  ``as_of`` reads resolve
+        against immutable version chains, so they take neither lock —
+        time travel never waits behind a splice or a commit."""
         replica_client = self.core._replica_client()
         if replica_client is not None:
             return replica_client.applier.query(
                 text, params=params, as_of=as_of
             )
-        return self.db.query(text, params=params, as_of=as_of)
+        if as_of is not None:
+            return self.db.query(text, params=params, as_of=as_of)
+        with self.db.transactions.read_lock():
+            return self.db.query(text, params=params)
 
     def _query_as_of(self, payload: dict[str, Any]) -> int | None:
         """``as_of`` from the JSON body or the ``?as_of=`` query string."""
@@ -868,6 +872,12 @@ class _Exchange:
             if not isinstance(text, str) or not text.strip():
                 self._error(400, "missing 'query'")
                 return
+            # The LSN this read reflects, taken before the query runs so
+            # the answer is no older than it: staleness-bounded readers
+            # trust it against their floor, and one taken afterwards may
+            # include a frame applied after the read lock was released.
+            store = self.db.store
+            lsn = None if store is None else store.commit_lsn
             try:
                 as_of = self._query_as_of(payload)
                 result = self._run_query(text, params, as_of=as_of)
@@ -880,10 +890,8 @@ class _Exchange:
             body: dict[str, Any] = {"result": jsonable(result)}
             if as_of is not None:
                 body["as_of"] = as_of
-            if self.db.store is not None:
-                # The LSN this read reflects; router/checker clients use
-                # it to verify their staleness bound was honoured.
-                body["lsn"] = self.db.store.commit_lsn
+            if lsn is not None:
+                body["lsn"] = lsn
             self._send(200, body)
             return
         if parts == ["resolve"]:

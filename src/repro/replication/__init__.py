@@ -1,21 +1,17 @@
-"""Log-shipping replication: primary shipper, replicas, read routing.
+"""Log-shipping replication: primary shipper and replicas.
 
 Physical replication for Prometheus: the primary serves raw byte ranges
-of its record log (``stream``), replicas splice them in through the
-recovery path and refresh their object layer incrementally (``replica``),
-and a staleness-bounded router spreads reads across the fleet
-(``router``).  LSNs are byte offsets; equality of LSN implies byte
-identity of state — the invariant every test in
+of its record log (``stream``), and replicas splice them in through the
+recovery path and refresh their object layer incrementally
+(``replica``).  Over HTTP a replica pulls through
+:class:`~repro.engine.federation.RemoteDatabase`, and
+:meth:`~repro.engine.federation.Federation.query_all_reads` routes reads
+to replicas under a staleness bound.  LSNs are byte offsets; equality of
+LSN implies byte identity of state — the invariant every test in
 ``tests/replication/`` leans on.
 """
 
-from .replica import (
-    HttpPullTransport,
-    ReplicaApplier,
-    ReplicationClient,
-    RWLock,
-)
-from .router import ReadNode, ReadRouter, RoutedResult, UNBOUNDED
+from .replica import ReplicaApplier, ReplicationClient, RWLock
 from .stream import (
     BASE_LSN,
     DEFAULT_MAX_BYTES,
@@ -34,15 +30,10 @@ __all__ = [
     "FRAME_MAGIC",
     "FRAME_VERSION",
     "PREFIX_CRC_WINDOW",
-    "UNBOUNDED",
-    "HttpPullTransport",
     "LogShipper",
-    "ReadNode",
-    "ReadRouter",
     "ReplicaApplier",
     "ReplicaPullState",
     "ReplicationClient",
-    "RoutedResult",
     "RWLock",
     "decode_frame",
     "encode_frame",

@@ -14,7 +14,8 @@ live here:
   loader's own path), so no rules fire — they already fired on the
   primary — and attribute indexes are patched in place.
 * :class:`ReplicationClient` — the pull loop: long-polls the primary
-  (via any transport with a ``pull`` method — the HTTP one or an
+  (via any transport with the shipper's ``pull`` signature — a
+  :class:`~repro.engine.federation.RemoteDatabase` over HTTP or an
   in-process :class:`~repro.replication.stream.LogShipper`), applies
   frames, resets and re-syncs from scratch when the primary reports
   divergence (e.g. it compacted).
@@ -22,23 +23,16 @@ live here:
 
 from __future__ import annotations
 
-import http.client
-import inspect
-import json
 import random
-import socket
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 import zlib
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..errors import DivergedError, ReplicationError, StalePrimaryError
 from ..storage.store import AppliedBatch
-from ..telemetry import NULL_SPAN, Telemetry, propagation
+from ..telemetry import NULL_SPAN, Telemetry
 from .stream import BASE_LSN, PREFIX_CRC_WINDOW, decode_frame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -300,165 +294,16 @@ class ReplicaApplier:
         }
 
 
-class HttpPullTransport:
-    """Pulls frames from a primary's ``POST /replicate/pull`` endpoint.
-
-    The transport holds one **persistent keep-alive connection** to the
-    primary and reuses it pull after pull — against the asyncio front
-    end the steady-state long-poll loop pays no TCP handshake per pull.
-    A primary that closes per response (an HTTP/1.0 peer, or one
-    answering ``Connection: close``) degrades transparently to
-    connection-per-pull, and a stale
-    kept-alive socket (primary restarted between pulls) is retried once
-    on a fresh connection before the error surfaces.
-
-    Every request carries a socket timeout: ``wait_s`` (the server-side
-    long-poll budget) plus ``timeout_margin_s``, hard-capped at
-    ``timeout_s`` — a hung peer can therefore stall one pull, never the
-    pull loop.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        timeout_margin_s: float = 10.0,
-        timeout_s: float = 60.0,
-    ) -> None:
-        self.url = url.rstrip("/")
-        self.timeout_margin_s = timeout_margin_s
-        self.timeout_s = timeout_s
-        parsed = urllib.parse.urlsplit(self.url)
-        self._host = parsed.hostname or "127.0.0.1"
-        self._port = parsed.port
-        self._prefix = parsed.path.rstrip("/")
-        self._conn: http.client.HTTPConnection | None = None
-
-    def close(self) -> None:
-        """Drop the kept-alive connection (idempotent)."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-            self._conn = None
-
-    def _request(
-        self, data: bytes, headers: dict[str, str], timeout: float
-    ) -> tuple[int, str, bytes]:
-        """One POST on the persistent connection; returns
-        ``(status, reason, body)``.  Reconnects once when the kept-alive
-        socket turns out to be dead."""
-        for attempt in (0, 1):
-            fresh = self._conn is None
-            if fresh:
-                self._conn = http.client.HTTPConnection(
-                    self._host, self._port, timeout=timeout
-                )
-            conn = self._conn
-            conn.timeout = timeout
-            if conn.sock is not None:
-                conn.sock.settimeout(timeout)
-            try:
-                conn.request(
-                    "POST", self._prefix + "/replicate/pull",
-                    body=data, headers=headers,
-                )
-                response = conn.getresponse()
-                body = response.read()
-            except (TimeoutError, socket.timeout):
-                self.close()
-                raise
-            except (http.client.HTTPException, ConnectionError, OSError):
-                self.close()
-                if fresh or attempt:
-                    raise
-                continue  # the kept-alive socket had died; retry once
-            if response.will_close:
-                # The peer closes after this response: the next pull
-                # opens a fresh connection.
-                self.close()
-            return response.status, response.reason or "", body
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def pull(
-        self,
-        from_lsn: int,
-        prefix_crc: int | None = None,
-        wait_s: float = 0.0,
-        max_bytes: int | None = None,
-        replica: str = "",
-        epoch: int | None = None,
-    ) -> tuple[str, bytes | None]:
-        body: dict[str, Any] = {
-            "from_lsn": from_lsn,
-            "wait_s": wait_s,
-            "replica": replica,
-        }
-        if prefix_crc is not None:
-            body["prefix_crc"] = prefix_crc
-        if max_bytes is not None:
-            body["max_bytes"] = max_bytes
-        if epoch is not None:
-            body["epoch"] = epoch
-        headers = {"Content-Type": "application/json"}
-        ctx = propagation.current()
-        if ctx is not None:
-            # The pull joins the active trace (catch-up under a request,
-            # or the loop's attached startup context), so the primary's
-            # handler span lands in the same trace_id.
-            headers[propagation.TRACEPARENT_HEADER] = (
-                propagation.format_traceparent(ctx)
-            )
-        timeout = min(wait_s + self.timeout_margin_s, self.timeout_s)
-        try:
-            status, reason, payload = self._request(
-                json.dumps(body).encode("utf-8"), headers, timeout
-            )
-        except (http.client.HTTPException, OSError) as exc:
-            raise ReplicationError(f"pull failed: {exc}") from exc
-        if status == 204:
-            return "empty", None
-        if status == 200:
-            return "frame", payload
-        if status == 409:
-            detail: dict[str, Any] = {}
-            try:
-                detail = json.loads(payload.decode("utf-8"))
-            except ValueError:
-                pass
-            if detail.get("status") == "stale-primary" or detail.get(
-                "stale_primary"
-            ):
-                raise StalePrimaryError(
-                    "pull rejected: peer fenced at epoch "
-                    f"{detail.get('epoch', 0)}",
-                    epoch=int(detail.get("epoch", 0) or 0),
-                    primary_url=detail.get("primary_url"),
-                )
-            return "diverged", None
-        raise ReplicationError(f"pull failed: HTTP {status} {reason}")
-
-
-def _accepts_epoch(pull: Any) -> bool:
-    """Does this transport's ``pull`` take the fencing ``epoch`` kwarg?"""
-    try:
-        parameters = inspect.signature(pull).parameters
-    except (TypeError, ValueError):  # builtins/C callables: assume yes
-        return True
-    return "epoch" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in parameters.values()
-    )
-
-
 class ReplicationClient:
     """The replica's pull loop: catch up, then long-poll forever.
 
-    ``transport`` is anything with the shipper's ``pull`` signature — an
-    :class:`HttpPullTransport` against a remote primary, or a local
+    ``transport`` is anything with the shipper's ``pull`` signature,
+    ``epoch`` included — a :class:`~repro.engine.federation.
+    RemoteDatabase` against a remote primary, or a local
     :class:`~repro.replication.stream.LogShipper` for in-process tests
     (which is also how the fault-injection sweep drives torn batches
-    deterministically).
+    deterministically).  Every pull carries this replica's known epoch,
+    so a deposed primary is fenced on the first pull it serves.
 
     Failover: when the primary is fenced (``StalePrimaryError``) or
     stays unreachable for ``rediscover_after`` consecutive pulls, the
@@ -535,16 +380,13 @@ class ReplicationClient:
         return batch
 
     def _pull_once_inner(self, wait_s: float, span: Any) -> AppliedBatch | None:
-        kwargs: dict[str, Any] = {
-            "prefix_crc": self._prefix_crc(),
-            "wait_s": wait_s,
-            "replica": self.name,
-        }
-        if _accepts_epoch(self.transport.pull):
-            # Older/duck-typed transports (fault-injection wrappers in
-            # tests) may predate fencing; they just don't send an epoch.
-            kwargs["epoch"] = self.applier.known_epoch
-        status, frame = self.transport.pull(self._position(), **kwargs)
+        status, frame = self.transport.pull(
+            self._position(),
+            prefix_crc=self._prefix_crc(),
+            wait_s=wait_s,
+            replica=self.name,
+            epoch=self.applier.known_epoch,
+        )
         span.set("status", status)
         if status == "empty":
             return None

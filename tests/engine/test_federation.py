@@ -1,5 +1,7 @@
 """Federation over localised databases (thesis ch. 8 further work)."""
 
+import http.client
+
 import pytest
 
 from repro.engine import AsyncPrometheusServer, PrometheusDB
@@ -79,6 +81,29 @@ class TestFanOut:
 
     def test_alive(self, federation):
         assert federation.alive() == {"edinburgh": True, "kew": True}
+
+
+class TestConnectionReuse:
+    def test_fan_outs_reuse_one_connection_per_node(
+        self, federation, monkeypatch
+    ):
+        opened = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting_connect(conn):
+            opened.append((conn.host, conn.port))
+            connect(conn)
+
+        monkeypatch.setattr(
+            http.client.HTTPConnection, "connect", counting_connect
+        )
+        fresh = Federation()
+        for name, client in federation.nodes.items():
+            fresh.add_node(name, client.url)
+        for _ in range(20):
+            results = fresh.query_all("select count(s) from s in Specimen")
+            assert all(r.ok for r in results)
+        assert len(opened) <= 2
 
 
 class TestDegradation:

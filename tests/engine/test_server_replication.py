@@ -2,7 +2,7 @@
 
 A real two-server topology over loopback: the primary serves
 ``/replicate/pull`` from its :class:`LogShipper`; the replica runs a
-:class:`ReplicationClient` over :class:`HttpPullTransport` and serves
+:class:`ReplicationClient` over :class:`RemoteDatabase` and serves
 read-only queries.  These tests pin the endpoints (frame/204/409
 responses, role reporting, 403 on replica writes, LSN-stamped reads)
 — transport-free replication semantics live in ``tests/replication``.
@@ -17,9 +17,9 @@ import pytest
 from repro.core import types as T
 from repro.core.attributes import Attribute
 from repro.engine import AsyncPrometheusServer, PrometheusDB
+from repro.engine.federation import RemoteDatabase
 from repro.replication import (
     BASE_LSN,
-    HttpPullTransport,
     LogShipper,
     ReplicaApplier,
     ReplicationClient,
@@ -69,7 +69,7 @@ def topology(tmp_path):
 
     with AsyncPrometheusServer(primary, shipper=shipper) as pserver:
         client = ReplicationClient(
-            applier, HttpPullTransport(pserver.url), name="r1",
+            applier, RemoteDatabase(pserver.url), name="r1",
             poll_wait_s=0.5,
         )
         with AsyncPrometheusServer(
@@ -142,7 +142,7 @@ class TestPullEndpoint:
         pserver, _, primary, *_ = topology
         write_entry(primary, "x" * 5000, 1)
 
-        class SmallFrames(HttpPullTransport):
+        class SmallFrames(RemoteDatabase):
             def pull(self, from_lsn, **kwargs):
                 return super().pull(from_lsn, **{**kwargs, "max_bytes": 1024})
 

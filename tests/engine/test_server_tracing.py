@@ -2,7 +2,7 @@
 
 A real two-server topology over loopback, like
 ``test_server_replication``, but these tests pin the observability
-surface: a routed read against a *lagging* replica produces a single
+surface: a federation read against a *lagging* replica produces a single
 trace_id whose spans are resolvable via ``GET /trace/<id>`` on BOTH
 nodes with cross-node parent/child linkage; replication catch-up joins
 the caller's trace on the primary; error payloads and response headers
@@ -20,15 +20,7 @@ from repro.core import types as T
 from repro.core.attributes import Attribute
 from repro.engine import AsyncPrometheusServer, PrometheusDB
 from repro.engine.federation import Federation, RemoteDatabase
-from repro.replication import (
-    UNBOUNDED,
-    HttpPullTransport,
-    LogShipper,
-    ReadNode,
-    ReadRouter,
-    ReplicaApplier,
-    ReplicationClient,
-)
+from repro.replication import LogShipper, ReplicaApplier, ReplicationClient
 from repro.telemetry import Telemetry, format_traceparent, propagation
 
 
@@ -61,7 +53,7 @@ def topology(tmp_path):
 
     with AsyncPrometheusServer(primary, shipper=shipper) as pserver:
         client = ReplicationClient(
-            applier, HttpPullTransport(pserver.url), name="r1"
+            applier, RemoteDatabase(pserver.url), name="r1"
         )
         with AsyncPrometheusServer(
             replica,
@@ -108,35 +100,25 @@ class TestRoutedReadSingleTrace:
         client.catch_up()
         write_entry(primary, "b", 2)  # replica now lags
 
-        pclient = RemoteDatabase(pserver.url)
-        rclient = RemoteDatabase(rserver.url)
         tel = Telemetry()
-        router = ReadRouter(
-            ReadNode(
-                name="primary",
-                query_fn=lambda text, params: pclient.query(text, params),
-                lsn_fn=lambda: pclient.replication_status()["commit_lsn"],
-                is_primary=True,
-            ),
-            telemetry=tel,
+        federation = Federation(telemetry=tel)
+        federation.add_node("primary", RemoteDatabase(pserver.url))
+        federation.add_read_replica(
+            "primary", "replica", RemoteDatabase(rserver.url)
         )
-        router.add_replica(
-            ReadNode(
-                name="replica",
-                query_fn=lambda text, params: rclient.query(text, params),
-                lsn_fn=lambda: rclient.replication_status()["applied_lsn"],
+        # A finite bound makes the federation probe the primary's head
+        # before it asks the replica.
+        with tel.tracer.span("client.read"):
+            [answer] = federation.query_all_reads(
+                "select e.key from e in Entry order by e.key",
+                staleness_bytes=1 << 20,
             )
-        )
-        routed = router.query(
-            "select e.key from e in Entry order by e.key",
-            staleness_bytes=UNBOUNDED,
-        )
-        assert routed.node == "replica"
-        assert routed.result == ["a"]  # the watermark state, not b
-        assert routed.node_lsn < routed.primary_lsn
+        assert answer.served_by == "primary/replica"
+        assert answer.result == ["a"]  # the watermark state, not b
+        assert replica.store.commit_lsn < primary.store.commit_lsn
 
         [root] = [
-            r for r in tel.traces.snapshot() if r["name"] == "router.query"
+            r for r in tel.traces.snapshot() if r["name"] == "client.read"
         ]
         trace_id = root["trace_id"]
 
@@ -151,7 +133,7 @@ class TestRoutedReadSingleTrace:
         assert on_primary["node"] == "primary"
 
         # Cross-node linkage: each server-side request span is a direct
-        # child of the client-side router.query span.
+        # child of the client-side root span.
         replica_query = [
             s
             for s in on_replica["spans"]

@@ -14,10 +14,10 @@ import urllib.request
 import pytest
 
 from repro.engine import AsyncPrometheusServer, PrometheusDB
+from repro.engine.federation import RemoteDatabase
 from repro.ha import HAController
 from repro.replication import (
     BASE_LSN,
-    HttpPullTransport,
     LogShipper,
     ReplicaApplier,
     ReplicationClient,
@@ -69,7 +69,7 @@ def topology(tmp_path):
     with AsyncPrometheusServer(primary, ha=pha) as pserver:
         client = ReplicationClient(
             applier,
-            HttpPullTransport(pserver.url),
+            RemoteDatabase(pserver.url),
             name="r1",
             poll_wait_s=0.5,
         )
@@ -78,7 +78,7 @@ def topology(tmp_path):
             "r1",
             replica_client=client,
             primary_url=pserver.url,
-            make_transport=HttpPullTransport,
+            make_transport=RemoteDatabase,
         )
         with AsyncPrometheusServer(replica, ha=rha) as rserver:
             try:

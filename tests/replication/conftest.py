@@ -32,13 +32,15 @@ def make_primary(tmp_path, name: str = "primary") -> PrometheusDB:
 
 
 def make_replica(
-    tmp_path, shipper: LogShipper, name: str
+    tmp_path, transport, name: str
 ) -> tuple[PrometheusDB, ReplicaApplier, ReplicationClient]:
+    """A replica pulling through ``transport`` (a shipper, or a
+    :class:`~repro.engine.federation.RemoteDatabase` over HTTP)."""
     db = PrometheusDB(tmp_path / f"{name}.plog", read_only=True)
     declare(db)
     db.load()
     applier = ReplicaApplier(db)
-    client = ReplicationClient(applier, shipper, name=name)
+    client = ReplicationClient(applier, transport, name=name)
     return db, applier, client
 
 

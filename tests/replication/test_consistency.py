@@ -1,13 +1,18 @@
 """Seeded consistency stress: 4 writers + 8 readers across replicas.
 
-Each seed stands up a primary with two live pull-replicating replicas
-and a :class:`~repro.replication.router.ReadRouter` over all three.
-Rounds of 4 writer threads (disjoint key sets, so per-key order is
-total) and 8 reader threads (random staleness bounds; some write first
-and then demand read-your-writes via ``min_lsn``) record every
-client-visible operation into a :class:`~tests.replication.checker.History`,
-which :func:`~tests.replication.checker.verify` judges after the round
-joins.  Any violation is shrunk to its minimal core before failing.
+Each seed serves a primary and two live pull-replicating replicas
+through :class:`~repro.engine.aserver.AsyncPrometheusServer`; the
+replicas pull over HTTP with :meth:`RemoteDatabase.pull
+<repro.engine.federation.RemoteDatabase.pull>`, and every read goes
+through :meth:`Federation.query_all_reads
+<repro.engine.federation.Federation.query_all_reads>` over
+``RemoteDatabase`` clients — the production read path.  Rounds of 4
+writer threads (disjoint key sets, so per-key order is total) and 8
+reader threads (random staleness bounds; some write first and then
+demand read-your-writes via ``min_lsn``) record every client-visible
+operation into a :class:`~tests.replication.checker.History`, which
+:func:`~tests.replication.checker.verify` judges after the round joins.
+Any violation is shrunk to its minimal core before failing.
 
 3 fixed seeds x 70 rounds = 210 verified histories per run (+70 more
 from the ``GITHUB_RUN_ID``-derived seed in CI).
@@ -21,7 +26,9 @@ import pytest
 from . import checker
 from .checker import History, ReadRec, Violation, WriteRec, UNBOUNDED
 from .conftest import make_primary, make_replica
-from repro.replication import LogShipper, ReadNode, ReadRouter
+from repro.engine import AsyncPrometheusServer
+from repro.engine.federation import Federation, RemoteDatabase
+from repro.replication import LogShipper
 
 FIXED_SEEDS = (20260806, 1337, 424242)
 ROUNDS = 70
@@ -141,8 +148,22 @@ class TestCheckerSelfTest:
         ]
 
 
+class RecordingClient(RemoteDatabase):
+    """A federation client whose query answers carry the LSN the
+    endpoint reported: the federation passes results through untouched,
+    so the harness can record the serving endpoint's LSN as evidence."""
+
+    def query_with_lsn(self, text, params=None):
+        result, lsn = super().query_with_lsn(text, params)
+        return (result, lsn), lsn
+
+    def query(self, text, params=None):
+        return self.query_with_lsn(text, params)[0]
+
+
 class Harness:
-    """One seed's topology: primary, two live replicas, a router."""
+    """One seed's topology: a primary and two live replicas, each behind
+    its own HTTP server, read through one :class:`Federation` node."""
 
     WRITERS = 4
     READERS = 8
@@ -152,44 +173,45 @@ class Harness:
         self.rng = checker.make_rng(seed)
         self.seed = seed
         self.primary = make_primary(tmp_path, f"primary-{seed}")
-        self.shipper = LogShipper(self.primary.store)
+        self.servers = [
+            AsyncPrometheusServer(
+                self.primary, shipper=LogShipper(self.primary.store)
+            )
+        ]
+        self.servers[0].start()
+        primary_url = self.servers[0].url
+        self.federation = Federation()
+        self.federation.add_node("primary", RecordingClient(primary_url))
         self.replicas = []
         for i in range(2):
             rdb, applier, client = make_replica(
-                tmp_path, self.shipper, f"replica-{i}"
+                tmp_path, RemoteDatabase(primary_url), f"replica-{i}"
             )
             client.poll_wait_s = 0.2
             client.start()
+            server = AsyncPrometheusServer(
+                rdb, replica_client=client, primary_url=primary_url
+            )
+            server.start()
+            self.servers.append(server)
+            self.federation.add_read_replica(
+                "primary", f"replica-{i}", RecordingClient(server.url)
+            )
             self.replicas.append((rdb, applier, client))
-        self.router = ReadRouter(
-            ReadNode(
-                "primary",
-                self._primary_query,
-                lambda: self.primary.store.commit_lsn,
-                is_primary=True,
-            )
-        )
-        for i, (_, applier, _) in enumerate(self.replicas):
-            self.router.add_replica(
-                ReadNode(
-                    f"replica-{i}",
-                    applier.query,
-                    lambda a=applier: a.applied_lsn,
-                )
-            )
+        self.replica_reads = 0
         self.oids: dict[str, int] = {}
         self.counters: dict[str, int] = {}
         self.writes: list[WriteRec] = []
 
-    def _primary_query(self, text, params):
-        # Serialize with commits so the primary never exposes a
-        # half-replayed batch to the router.
-        with self.primary.transactions.read_lock():
-            return self.primary.query(text, params=params)
-
     def close(self) -> None:
-        for rdb, _, client in self.replicas:
+        for _, _, client in self.replicas:
             client.stop()
+            client.transport.close()
+        for endpoint in self.federation.endpoints().values():
+            endpoint.close()
+        for server in self.servers:
+            server.stop()
+        for rdb, _, _ in self.replicas:
             rdb.close()
         self.primary.close()
 
@@ -214,19 +236,26 @@ class Harness:
 
     def read(self, rng, key: str, who: str, min_lsn: int = 0) -> ReadRec:
         bound = rng.choice(BOUNDS)
-        routed = self.router.query(
+        # Read before the call: the federation probes the primary's head
+        # later, so its staleness floor is never below the checker's.
+        pre = self.primary.store.commit_lsn
+        [answer] = self.federation.query_all_reads(
             f'select e.value from e in Entry where e.key = "{key}"',
+            None,
             staleness_bytes=bound,
             min_lsn=min_lsn,
         )
         post = self.primary.store.commit_lsn
-        value = routed.result[0] if routed.result else None
+        assert answer.ok, answer.error
+        rows, node_lsn = answer.result
+        if answer.served_by != "primary":
+            self.replica_reads += 1
         return ReadRec(
             key=key,
-            value=value,
-            node=routed.node,
-            node_lsn=routed.node_lsn,
-            primary_lsn=routed.primary_lsn,
+            value=rows[0] if rows else None,
+            node=answer.served_by,
+            node_lsn=node_lsn,
+            primary_lsn=pre,
             post_lsn=post,
             bound=bound,
             min_lsn=min_lsn,
@@ -309,12 +338,7 @@ def test_seeded_consistency(tmp_path, seed):
             client.stop()
             client.catch_up()
             assert rdb.store.fingerprint() == want
-        served = {
-            name: node["reads"]
-            for name, node in harness.router.status()["replicas"].items()
-        }
-        total = sum(served.values())
-        assert total > 0, "no read was ever served by a replica"
+        assert harness.replica_reads > 0, "no read was ever served by a replica"
     finally:
         harness.close()
 

@@ -131,7 +131,7 @@ def test_torn_transport_frame_never_reaches_the_log(tmp_path):
             self.tears = tears
 
         def pull(self, from_lsn, prefix_crc=None, wait_s=0.0,
-                 max_bytes=None, replica=""):
+                 max_bytes=None, replica="", epoch=None):
             status, frame = self.shipper.pull(
                 from_lsn, prefix_crc=prefix_crc, wait_s=wait_s,
                 max_bytes=max_bytes, replica=replica,

@@ -14,8 +14,6 @@ from repro.errors import DivergedError, ReplicationError
 from repro.replication import (
     BASE_LSN,
     LogShipper,
-    ReadNode,
-    ReadRouter,
     decode_frame,
     encode_frame,
 )
@@ -236,60 +234,3 @@ class TestApplier:
             ) == [7]
         finally:
             client.stop()
-
-
-class TestRouter:
-    def _node(self, name, lsn_holder, results, primary=False):
-        return ReadNode(
-            name=name,
-            query_fn=lambda text, params: results[name],
-            lsn_fn=lambda: lsn_holder[name],
-            is_primary=primary,
-        )
-
-    def test_prefers_fresh_replica_and_round_robins(self):
-        lsns = {"p": 100, "r1": 100, "r2": 100}
-        results = {"p": "p", "r1": "r1", "r2": "r2"}
-        router = ReadRouter(self._node("p", lsns, results, primary=True))
-        router.add_replica(self._node("r1", lsns, results))
-        router.add_replica(self._node("r2", lsns, results))
-        served = {router.query("q").node for _ in range(4)}
-        assert served == {"r1", "r2"}
-
-    def test_stale_replica_falls_back_to_primary(self):
-        lsns = {"p": 100, "r1": 10}
-        results = {"p": "p", "r1": "r1"}
-        router = ReadRouter(self._node("p", lsns, results, primary=True))
-        router.add_replica(self._node("r1", lsns, results))
-        routed = router.query("q", staleness_bytes=50)
-        assert routed.node == "p"
-        assert routed.reason == "no-replica-fresh-enough"
-        lsns["r1"] = 60  # within the 50-byte bound now
-        assert router.query("q", staleness_bytes=50).node == "r1"
-
-    def test_read_your_writes_floor(self):
-        lsns = {"p": 100, "r1": 80}
-        results = {"p": "p", "r1": "r1"}
-        router = ReadRouter(self._node("p", lsns, results, primary=True))
-        router.add_replica(self._node("r1", lsns, results))
-        routed = router.query("q", staleness_bytes=1e9, min_lsn=90)
-        assert routed.node == "p"
-        assert routed.reason == "read-your-writes"
-        lsns["r1"] = 95
-        assert router.query("q", staleness_bytes=1e9, min_lsn=90).node == "r1"
-
-    def test_replica_error_falls_back(self):
-        lsns = {"p": 100, "r1": 100}
-
-        def boom(text, params):
-            raise RuntimeError("replica down")
-
-        router = ReadRouter(
-            ReadNode("p", lambda t, p: "p", lambda: lsns["p"], is_primary=True)
-        )
-        bad = ReadNode("r1", boom, lambda: lsns["r1"])
-        router.add_replica(bad)
-        routed = router.query("q")
-        assert routed.node == "p"
-        assert routed.reason == "replica-error-fallback"
-        assert bad.errors == 1
