@@ -820,20 +820,26 @@ class _Exchange:
             return self.db.query(text, params=params)
 
     def _query_as_of(self, payload: dict[str, Any]) -> int | None:
-        """``as_of`` from the JSON body or the ``?as_of=`` query string."""
+        """``as_of`` from the JSON body or the ``?as_of=`` query string.
+
+        Anything but an integer (a bool, a float, a non-numeric string)
+        is a malformed request, answered 400 — never read as some LSN,
+        never reported as an unavailable snapshot."""
         as_of = payload.get("as_of")
         if as_of is None:
             values = parse_qs(urlparse(self.path).query).get("as_of")
             if values:
-                as_of = values[0]
+                try:
+                    as_of = int(values[0])
+                except ValueError:
+                    as_of = values[0]
         if as_of is None:
             return None
-        try:
-            return int(as_of)
-        except (TypeError, ValueError):
-            raise SnapshotError(
-                f"as_of must be an integer LSN, got {as_of!r}"
-            ) from None
+        if isinstance(as_of, bool) or not isinstance(as_of, int):
+            raise _RequestError(
+                400, f"as_of must be an integer LSN, got {as_of!r}"
+            )
+        return as_of
 
     def _snapshot_unavailable(self, exc: SnapshotError) -> None:
         self._send(
@@ -940,8 +946,8 @@ class _Exchange:
         classification_name = payload.get("classification")
         try:
             as_of = self._query_as_of(payload)
-        except SnapshotError as exc:
-            self._snapshot_unavailable(exc)
+        except _RequestError as exc:
+            self._error(exc.status, str(exc))
             return
         replica_client = self.core._replica_client()
         try:
@@ -969,7 +975,7 @@ class _Exchange:
         except SnapshotError as exc:
             self._snapshot_unavailable(exc)
             return
-        except _ResolveError as exc:
+        except _RequestError as exc:
             self._error(exc.status, str(exc))
             return
         if as_of is not None:
@@ -1000,6 +1006,9 @@ class _Exchange:
                 schema, _ = self.db._snapshot_view(as_of)
             else:
                 schema = self.db.schema
+        except _RequestError as exc:
+            self._error(exc.status, str(exc))
+            return
         except SnapshotError as exc:
             self._snapshot_unavailable(exc)
             return
@@ -1026,7 +1035,7 @@ class _Exchange:
     ) -> dict[str, Any]:
         if class_name is not None:
             if not schema.has_class(class_name):
-                raise _ResolveError(404, f"unknown class {class_name!r}")
+                raise _RequestError(404, f"unknown class {class_name!r}")
             candidates = [class_name]
         else:
             # Every top-level concrete class declaring the attribute;
@@ -1043,7 +1052,7 @@ class _Exchange:
         lineage_sources: list[Any] = []
         if classification_name is not None:
             if classification_name not in classifications:
-                raise _ResolveError(
+                raise _RequestError(
                     404,
                     f"unknown classification {classification_name!r}",
                 )
@@ -1257,6 +1266,9 @@ class _Exchange:
                 result = self._run_query(
                     text, payload.get("params", {}), as_of=as_of
                 )
+            except _RequestError as exc:
+                self._error(exc.status, str(exc))
+                return
             except SnapshotError as exc:
                 self._snapshot_unavailable(exc)
                 return
@@ -1433,8 +1445,8 @@ class _Exchange:
             raise SchemaError(f"unknown op {kind!r}")
 
 
-class _ResolveError(PrometheusError):
-    """Internal: a resolve request failed with a specific status."""
+class _RequestError(PrometheusError):
+    """Internal: a request failed with a specific status."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)

@@ -12,8 +12,10 @@ The package splits into four layers:
 - :mod:`repro.sharding.planner` — classifies a parsed POOL query into a
   distributed physical plan: ``scatter`` (push the scan to every
   relevant shard, merge centrally), ``scatter_count`` (push ``count``
-  and sum), or ``gather`` (materialize a coordinator-side union view
-  and run the retained naive evaluator — the fallback that keeps every
+  and sum), or ``gather`` (ship the records the query can reach — named
+  extents, the first binding filtered shard-side, traversed edges in
+  depth-bounded rounds — into a coordinator-side view and run the
+  retained naive evaluator over it: the fallback that keeps every
   construct correct).
 - :mod:`repro.sharding.coordinator` — executes those plans over
   federation's breakers and deadline fan-out, owns the global OID

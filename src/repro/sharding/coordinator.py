@@ -66,20 +66,18 @@ class ShardExecutionError(ShardingError):
 
 
 class LocalShardClient:
-    """In-process shard: the federation client surface plus the admin
-    surface the coordinator and rebalancer need.
+    """In-process shard: ``query`` plus the admin surface the
+    coordinator and rebalancer need.
 
-    Duck-compatible with :class:`~repro.engine.federation.
-    RemoteDatabase` for everything federation calls, so shards sit
-    directly in ``Federation.nodes`` and inherit breakers, retries and
-    the deadline fan-out.
+    Shards sit in ``Federation.nodes`` so every coordinator fan-out
+    inherits breakers and the deadline; the coordinator reaches them
+    only through :meth:`ShardedDatabase._fanout` thunks, never through
+    federation's node-shaped calls.
     """
 
     def __init__(self, name: str, db: PrometheusDB) -> None:
         self.name = name
         self.db = db
-
-    # -- federation client surface ------------------------------------------
 
     def query(
         self,
@@ -89,20 +87,6 @@ class LocalShardClient:
     ) -> Any:
         return self.db.query(text, params=params, check=False, as_of=as_of)
 
-    def query_with_lsn(
-        self, text: str, params: dict[str, Any] | None = None
-    ) -> tuple[Any, int]:
-        return self.query(text, params), self.db.lsn
-
-    def ping(self) -> dict[str, Any]:
-        return {"status": "ok", "name": self.name}
-
-    def replication_status(self) -> dict[str, Any]:
-        return {"lsn": self.db.lsn}
-
-    def classifications(self) -> list[str]:
-        return []
-
     # -- shard admin surface -------------------------------------------------
 
     @property
@@ -111,9 +95,6 @@ class LocalShardClient:
 
     def commit(self) -> None:
         self.db.commit()
-
-    def has_object(self, oid: int) -> bool:
-        return self.db.schema.has_object(oid)
 
     def get_attr(self, oid: int, name: str) -> Any:
         return self.db.schema.get_object(oid).get(name)
@@ -211,18 +192,42 @@ class LocalShardClient:
         return out
 
     def export_records(
-        self, class_names: list[str], lsn: int | None = None
+        self,
+        class_names: list[str],
+        lsn: int | None = None,
+        query: str | None = None,
+        params: dict[str, Any] | None = None,
+        incident: list[int] | None = None,
     ) -> list[tuple[int, dict[str, Any]]]:
         """OID-sorted ``(oid, record)`` pairs for the polymorphic
-        extents of ``class_names`` — live, or at a snapshot LSN."""
+        extents of ``class_names`` — live, or at a snapshot LSN.
+
+        ``incident`` narrows those (relationship) extents to the edges
+        with an endpoint among the given OIDs.  ``query`` adds the
+        objects a per-shard POOL select returns, run by this shard's
+        planner (or over its snapshot at ``lsn``)."""
         schema = self._schema_at(lsn)
         if schema is None:
             return []
         out: dict[int, dict[str, Any]] = {}
-        for name in class_names:
-            if not schema.has_class(name):
-                continue
-            for obj in schema.extent(name):
+        if incident is None:
+            for name in class_names:
+                if not schema.has_class(name):
+                    continue
+                for obj in schema.extent(name):
+                    out[obj.oid] = schema.to_record(obj)
+        else:
+            relationships = schema.relationships
+            for oid in incident:
+                for name in class_names:
+                    for rel in relationships.outgoing(oid, name):
+                        out[rel.oid] = schema.to_record(rel)
+                    for rel in relationships.incoming(oid, name):
+                        out[rel.oid] = schema.to_record(rel)
+        if query is not None:
+            for obj in self.db.query(
+                query, params=params, check=False, as_of=lsn
+            ):
                 out[obj.oid] = schema.to_record(obj)
         return sorted(out.items())
 
@@ -567,7 +572,7 @@ class ShardedDatabase:
             return self._run_scatter(ast, plan, params)
         if plan.mode == "scatter_count":
             return self._run_scatter_count(plan, params)
-        return self._run_gather(ast, params, vector, as_of)
+        return self._run_gather(ast, plan, params, vector, as_of)
 
     def explain(
         self, text: str, as_of: int | None = None
@@ -736,11 +741,12 @@ class ShardedDatabase:
     def _run_gather(
         self,
         ast: Any,
+        plan: DistributedPlan,
         params: dict[str, Any] | None,
         vector: dict[str, int] | None,
         as_of: int | None,
     ) -> Any:
-        view = self._union_view(ast, vector, as_of)
+        view = self._union_view(plan, params, vector, as_of)
         context = QueryContext(
             schema=view,  # type: ignore[arg-type]
             params=params or {},
@@ -750,37 +756,55 @@ class ShardedDatabase:
 
     def _union_view(
         self,
-        ast: Any,
+        plan: DistributedPlan,
+        params: dict[str, Any] | None,
         vector: dict[str, int] | None,
         as_of: int | None,
     ) -> SnapshotSchema:
-        """Materialize a coordinator-side snapshot of every extent the
-        query can touch, plus all relationship extents and one round of
-        cross-shard endpoint resolution (all edges are fetched, so one
-        round closes the reachable object set for any traversal
-        depth)."""
-        class_names = sorted(
-            {
-                name
-                for name in self._referenced_classes(ast)
-                if self.meta.has_class(name)
-            }
-            | {rc.name for rc in self.meta.relationship_classes()}
-        )
+        """Materialize a coordinator-side snapshot of every record the
+        query can reach (see :mod:`repro.sharding.planner` for why it
+        suffices): the shipped extents and the first binding's filtered
+        rows, their edges' endpoints, then ``plan.hop_bound`` rounds of
+        traversed edges incident to the newest objects and those edges'
+        endpoints."""
         items: dict[int, dict[str, Any]] = {}
         # Fan out over every *physical* shard, not just the current
         # map's range owners: a snapshot read may predate a rebalance
         # that removed a shard from the ring, and its history lives on.
+        shards = tuple(sorted(self.shards))
         exports = self._fanout(
-            tuple(sorted(self.shards)),
+            shards,
             lambda client: client.export_records(
-                class_names, self._shard_lsn(client.name, vector)
+                list(plan.extents),
+                self._shard_lsn(client.name, vector),
+                query=plan.pushed_text,
+                params=params,
             ),
         )
         for name in sorted(exports):
             for oid, record in exports[name]:
                 items[oid] = record
-        self._resolve_endpoints(items, vector)
+        self._resolve_endpoints(items, list(items.values()), vector)
+        frontier = set(items)
+        for _ in range(plan.hop_bound or 0):
+            if not frontier:
+                break
+            incident = sorted(frontier)
+            edges = self._fanout(
+                shards,
+                lambda client: client.export_records(
+                    list(plan.traversed),
+                    self._shard_lsn(client.name, vector),
+                    incident=incident,
+                ),
+            )
+            added = []
+            for name in sorted(edges):
+                for oid, record in edges[name]:
+                    if oid not in items:
+                        items[oid] = record
+                        added.append(record)
+            frontier = self._resolve_endpoints(items, added, vector)
         return SnapshotSchema(
             self.meta,
             sorted(items.items()),
@@ -805,12 +829,14 @@ class ShardedDatabase:
     def _resolve_endpoints(
         self,
         items: dict[int, dict[str, Any]],
+        records: list[dict[str, Any]],
         vector: dict[str, int] | None,
-    ) -> None:
-        """Fetch records for edge endpoints living on other shards, in
-        one batched fan-out (the OID → shard routed ``/resolve``)."""
+    ) -> set[int]:
+        """Fetch the endpoints of ``records`` that ``items`` lacks, in
+        one batched fan-out (the OID → shard routed ``/resolve``);
+        returns the OIDs added."""
         missing: set[int] = set()
-        for record in items.values():
+        for record in records:
             for key in ("_origin", "_destination"):
                 oid = record.get(key)
                 if isinstance(oid, int) and oid not in items:
@@ -821,7 +847,7 @@ class ShardedDatabase:
                     if isinstance(oid, int) and oid not in items:
                         missing.add(oid)
         if not missing:
-            return
+            return set()
         if vector is None:
             groups = self.router.group(missing)
         else:
@@ -831,7 +857,7 @@ class ShardedDatabase:
             ordered = sorted(missing)
             groups = {name: ordered for name in sorted(self.shards)}
         if not groups:
-            return
+            return set()
         if self.telemetry.enabled:
             self.telemetry.registry.counter(
                 "repro_shard_resolve_batches_total",
@@ -844,19 +870,13 @@ class ShardedDatabase:
                 self._shard_lsn(client.name, vector),
             ),
         )
+        added: set[int] = set()
         for name in sorted(resolved):
             for oid, record in resolved[name]:
-                items.setdefault(oid, record)
-
-    def _referenced_classes(self, ast: Any) -> set[str]:
-        from .planner import _walk
-        from ..query.nodes import Variable
-
-        return {
-            node.name
-            for node in _walk(ast)
-            if isinstance(node, Variable)
-        }
+                if oid not in items:
+                    items[oid] = record
+                    added.add(oid)
+        return added
 
     # -- serialization helpers ----------------------------------------------
 

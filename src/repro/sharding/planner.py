@@ -3,11 +3,12 @@
 The classifier is deliberately conservative: a query is *pushed down*
 (``scatter``) only when per-shard execution plus a deterministic
 central merge provably reproduces the single-database answer.
-Everything else routes through ``gather`` — the coordinator
-materializes a union snapshot view of the shards and runs the retained
-naive evaluator over it, which is correct for every construct by
-definition.  The classification depends only on the query AST and the
-shard map, so 1-shard and 4-shard topologies always agree on the mode.
+Everything else routes through ``gather`` — the coordinator builds a
+snapshot view holding only the records the query can reach and runs
+the retained naive evaluator over it, which is correct for every
+construct by definition.  The classification depends only on the
+query AST and the shard map, so 1-shard and 4-shard topologies always
+agree on the mode.
 
 Why scatter-merge is exact (the pushdown proof, relied on by the
 topology differential suite):
@@ -28,11 +29,30 @@ Constructs excluded from scatter (routed to gather) and why:
   objects that may live on other shards.
 - Downcast: class identity is per-schema, so a coordinator-side
   downcast over shard-born objects would silently filter everything.
-- ``roles()`` / ``synonyms_of()``: read coordinator-side registries.
+- ``roles()`` / ``synonyms_of()`` and role attributes (§4.4.5): read
+  relationship instances that may live on other shards.
 - Aggregates other than ``count(<scalar>)``: float sums are not
   associative bytewise; per-row collection mapping changes semantics.
 - ``group by`` / set operations / ``extract graph``: need the whole
   extent in one place.
+
+What a gather ships (why the view it builds is exact):
+
+- The class extents the query names, whole — except that when the
+  first binding's class is the *only* extent named, it ships filtered
+  by the top-level ``and`` conjuncts that mention only the binding
+  variable and pass the same shard-safety walk scatter uses.  A row
+  those conjuncts reject can never reach the result.
+- The relationship classes its traversals name.  When every traversal
+  has a finite ``max_depth``, no evaluation path takes more than H
+  hops (H = the sum of those depths: the AST is a tree, so a path
+  crosses each traversal node at most once).  H rounds of "edges
+  incident to the frontier, then their endpoints" therefore give every
+  object the evaluator can traverse from its complete edge set.  An
+  unbounded closure ships its classes whole instead.
+- Method calls, ``extract graph``, classification-scoped traversals
+  and ``roles()``/``synonyms_of()``/role attributes can read any edge:
+  those queries ship every relationship extent (the full union).
 """
 
 from __future__ import annotations
@@ -66,18 +86,25 @@ from .shardmap import ShardMap
 _CONTEXT_FUNCTIONS = frozenset({"roles", "synonyms_of"})
 
 
-def _walk(node: Any):
-    """Yield every AST node in the tree (generic dataclass recursion)."""
-    if not isinstance(node, Node):
-        return
-    yield node
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, (tuple, list)):
-            for item in value:
-                yield from _walk(item)
-        else:
-            yield from _walk(value)
+def _walk(root: Any) -> list[Node]:
+    """Every AST node in the tree, pre-order, left to right (generic
+    dataclass traversal)."""
+    out: list[Node] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Node):
+            continue
+        out.append(node)
+        children: list[Any] = []
+        for name in node.__dataclass_fields__:  # type: ignore[attr-defined]
+            value = getattr(node, name)
+            if isinstance(value, (tuple, list)):
+                children.extend(value)
+            else:
+                children.append(value)
+        stack.extend(reversed(children))
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,11 +113,19 @@ class DistributedPlan:
 
     mode: str  # "scatter" | "scatter_count" | "gather"
     shards: tuple[str, ...]  # fan-out targets (pruned for scatter)
-    pushed_text: str | None = None  # per-shard POOL text (scatter modes)
+    #: Per-shard POOL text: the pushed scan (scatter modes), or the
+    #: filter the first binding's extent ships through (gather).
+    pushed_text: str | None = None
     push_order: bool = False  # ORDER BY shipped with the pushdown
     push_limit: bool = False  # LIMIT shipped with the pushdown
     pruned: bool = False  # shard set narrowed by the key predicate
     reason: str = ""  # why this mode was chosen
+    #: Gather: class extents shipped whole.
+    extents: tuple[str, ...] = ()
+    #: Gather: relationship classes shipped hop by hop, ``hop_bound``
+    #: rounds from the shipped objects.
+    traversed: tuple[str, ...] = ()
+    hop_bound: int | None = None
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly shape for distributed EXPLAIN output."""
@@ -100,7 +135,12 @@ class DistributedPlan:
             "pruned": self.pruned,
             "reason": self.reason,
         }
-        if self.pushed_text is not None:
+        if self.mode == "gather":
+            out["extents"] = list(self.extents)
+            out["traversed"] = list(self.traversed)
+            out["pushed_query"] = self.pushed_text
+            out["hop_bound"] = self.hop_bound
+        elif self.pushed_text is not None:
             out["pushed_query"] = self.pushed_text
             out["push_order"] = self.push_order
             out["push_limit"] = self.push_limit
@@ -113,15 +153,20 @@ class DistributedPlanner:
     def __init__(self, schema: Schema, shard_map: ShardMap) -> None:
         self.schema = schema
         self.map = shard_map
+        #: Role attributes (§4.4.5): read through whatever relationship
+        #: instances touch the object, wherever they live.
+        self._roles = frozenset(
+            name
+            for rc in schema.relationship_classes()
+            for name in rc.semantics.inherited_attributes
+        )
 
     # -- public --------------------------------------------------------------
 
     def plan(self, query: Node, as_of: int | None = None) -> DistributedPlan:
         gather = self._gather_reason(query, as_of)
         if gather is not None:
-            return DistributedPlan(
-                mode="gather", shards=self.map.shards, reason=gather
-            )
+            return self._gather_plan(query, gather)
         assert isinstance(query, SelectQuery)
         binding = query.bindings[0]
         shards, pruned = self._prune(query, binding)
@@ -188,8 +233,21 @@ class DistributedPlanner:
             return f"unknown extent {source.name!r}"
         if self.schema.get_class(source.name).is_relationship_class:
             return "relationship extents span shard boundaries"
-        for node in _walk(query):
-            if node is source:
+        unsafe = self._shard_unsafe(query, binding.variable, skip=source)
+        if unsafe is not None:
+            return unsafe
+        if self._has_non_count_aggregate(query):
+            return "non-count aggregate needs a single-site fold"
+        return None
+
+    def _shard_unsafe(
+        self, root: Node, variable: str, skip: Node | None = None
+    ) -> str | None:
+        """Why ``root`` cannot run on one shard over rows bound to
+        ``variable`` — or None when it only reads that row's own
+        attributes."""
+        for node in _walk(root):
+            if node is skip:
                 continue
             if isinstance(node, (Traversal, ExistsExpr, Downcast)):
                 return (
@@ -197,22 +255,120 @@ class DistributedPlanner:
                 )
             if isinstance(node, MethodCall):
                 return "method calls may traverse relationships"
-            if isinstance(node, SelectQuery) and node is not query:
+            if isinstance(node, SelectQuery) and node is not root:
                 return "subquery may scan other shards"
             if (
                 isinstance(node, FunctionCall)
                 and node.name in _CONTEXT_FUNCTIONS
             ):
                 return f"{node.name}() reads coordinator registries"
+            if isinstance(node, AttributeAccess) and node.name in self._roles:
+                return f"role attribute {node.name!r} reads relationships"
             if (
                 isinstance(node, Variable)
-                and node.name != binding.variable
+                and node.name != variable
                 and self.schema.has_class(node.name)
             ):
                 return f"references extent {node.name!r}"
-        if self._has_non_count_aggregate(query):
-            return "non-count aggregate needs a single-site fold"
         return None
+
+    # -- what a gather ships -------------------------------------------------
+
+    def _gather_plan(self, query: Node, reason: str) -> DistributedPlan:
+        nodes = _walk(query)
+        named = [
+            node
+            for node in nodes
+            if isinstance(node, Variable) and self.schema.has_class(node.name)
+        ]
+        extents = {node.name for node in named}
+        if self._reads_any_edge(nodes):
+            return DistributedPlan(
+                mode="gather",
+                shards=self.map.shards,
+                reason=reason,
+                extents=tuple(
+                    sorted(
+                        extents
+                        | {rc.name for rc in self.schema.relationship_classes()}
+                    )
+                ),
+            )
+        traversals = [node for node in nodes if isinstance(node, Traversal)]
+        traversed = {
+            node.relationship
+            for node in traversals
+            if self.schema.has_class(node.relationship)
+            and self.schema.get_class(node.relationship).is_relationship_class
+        }
+        hop_bound = None
+        if any(node.max_depth is None for node in traversals):
+            extents |= traversed
+            traversed = set()
+        elif traversed:
+            hop_bound = sum(node.max_depth or 0 for node in traversals)
+        pushed = None
+        if len(named) == 1 and isinstance(query, SelectQuery):
+            pushed = self._first_binding_filter(query, named[0])
+            if pushed is not None:
+                extents.discard(named[0].name)
+        return DistributedPlan(
+            mode="gather",
+            shards=self.map.shards,
+            reason=reason,
+            pushed_text=pushed,
+            extents=tuple(sorted(extents)),
+            traversed=tuple(sorted(traversed)),
+            hop_bound=hop_bound,
+        )
+
+    def _reads_any_edge(self, nodes: list[Node]) -> bool:
+        """Constructs that may read relationship instances no traversal
+        names: they ship the full union."""
+        for node in nodes:
+            if isinstance(node, (MethodCall, ExtractGraphQuery)):
+                return True
+            if isinstance(node, Traversal) and node.scope is not None:
+                return True
+            if (
+                isinstance(node, FunctionCall)
+                and node.name in _CONTEXT_FUNCTIONS
+            ):
+                return True
+            if isinstance(node, AttributeAccess) and node.name in self._roles:
+                return True
+        return False
+
+    def _first_binding_filter(
+        self, query: SelectQuery, extent: Variable
+    ) -> str | None:
+        """Per-shard POOL text selecting the first binding's rows that
+        can reach the result, or None when nothing narrows them."""
+        if not query.bindings or query.bindings[0].source is not extent:
+            return None
+        if self.schema.get_class(extent.name).is_relationship_class:
+            return None
+        variable = query.bindings[0].variable
+        kept = [
+            conjunct
+            for conjunct in self._conjuncts(query.where)
+            if self._shard_unsafe(conjunct, variable) is None
+            and all(
+                node.name == variable
+                for node in _walk(conjunct)
+                if isinstance(node, Variable)
+            )
+        ]
+        if not kept:
+            return None
+        where = kept[0]
+        for conjunct in kept[1:]:
+            where = Binary("and", where, conjunct)
+        return SelectQuery(
+            projection=(ProjectionItem(Variable(variable), None),),
+            bindings=(query.bindings[0],),
+            where=where,
+        ).unparse()
 
     def _has_non_count_aggregate(self, query: SelectQuery) -> bool:
         aggregate = self._aggregate_call(query)
@@ -283,12 +439,13 @@ class DistributedPlanner:
 
     @staticmethod
     def _conjuncts(where: Node | None):
+        """Top-level AND-chain conjuncts, left to right."""
         stack = [where] if where is not None else []
         while stack:
             node = stack.pop()
             if isinstance(node, Binary) and node.op == "and":
-                stack.append(node.left)
                 stack.append(node.right)
+                stack.append(node.left)
             elif node is not None:
                 yield node
 

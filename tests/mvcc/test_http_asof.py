@@ -75,15 +75,44 @@ class TestQueryAsOf:
         assert body["snapshot"] == "unavailable"
         assert body["floor"] <= body["head"] < db.lsn + 999
 
-    def test_malformed_as_of_is_404(self, served):
+    def test_malformed_as_of_is_400(self, served):
+        """A malformed as_of is the client's error, never a refusal
+        about history and never a read at some coerced LSN."""
         url, db = served
         db.schema.create("Counter", label="x", n=1)
         db.commit()
-        code, body = post_error(
-            url + "/query", {"query": QUERY, "as_of": "not-a-number"}
+        for bad in ("not-a-number", "1", True, 1.9, [1], {"lsn": 1}):
+            code, body = post_error(
+                url + "/query", {"query": QUERY, "as_of": bad}
+            )
+            assert code == 400, bad
+            assert "snapshot" not in body
+            assert "as_of" in body["error"]
+        code, body = post_error(url + "/query?as_of=abc", {"query": QUERY})
+        assert code == 400
+        assert "snapshot" not in body
+
+    def test_malformed_as_of_is_400_on_every_route(self, served):
+        url, db = served
+        db.schema.create("Counter", label="x", n=1)
+        db.commit()
+        _, body = post(url + "/session", {})
+        sid = body["session"]
+        routes = (
+            ("/resolve", {"names": ["x"], "attr": "label"}),
+            ("/resolve", {"oids": [1]}),
+            (f"/session/{sid}/query", {"query": QUERY}),
         )
-        assert code == 404
-        assert body["snapshot"] == "unavailable"
+        for path, payload in routes:
+            for bad in ("abc", True, 1.9):
+                code, body = post_error(url + path, {**payload, "as_of": bad})
+                assert code == 400, (path, bad)
+                assert "snapshot" not in body
+            code, _ = post_error(url + path + "?as_of=abc", payload)
+            assert code == 400, path
+            status, body = post(url + path, {**payload, "as_of": db.lsn})
+            assert status == 200, path
+            assert body.get("as_of", db.lsn) == db.lsn
 
 
 class TestConflictKinds:

@@ -84,6 +84,62 @@ class TestPlanModes:
         assert "as_of" in plan["reason"]
 
 
+class TestGatherShipping:
+    """Distributed EXPLAIN of a gather names what it ships."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = build_topology(4)
+        populate(db, 31)
+        return db
+
+    @pytest.mark.parametrize(
+        "text,extents,traversed,pushed,hop_bound",
+        [
+            (
+                "select a.rank as r, count(a) as n from a in Base "
+                "where a.size = 3 and a.flag group by a.rank",
+                [], [],
+                "select a from a in Base where ((a.size = 3) and a.flag)",
+                None,
+            ),
+            (
+                "select b from a in Base, b in a->Links where a.oid = $oid "
+                "and b.size > 1",
+                [], ["Links"],
+                "select a from a in Base where (a.oid = $oid)",
+                1,
+            ),
+            (
+                "select c from a in Base, b in a<-Links{1,2}, "
+                "c in b->Bridges",
+                ["Base"], ["Bridges", "Links"], None, 3,
+            ),
+            (
+                "select b from a in Base, b in a->Links+ where a.flag",
+                ["Links"], [], "select a from a in Base where a.flag", None,
+            ),
+            (
+                "select a from a in Base, c in Cat where a.size > 1",
+                ["Base", "Cat"], [], None, None,
+            ),
+            (
+                "select roles(a) from a in Base where a.flag",
+                ["Base", "Bridges", "Links"], [], None, None,
+            ),
+        ],
+    )
+    def test_gather_names_what_it_ships(
+        self, db, text, extents, traversed, pushed, hop_bound
+    ):
+        plan = db.explain(text)
+        assert plan["mode"] == "gather"
+        assert plan["extents"] == extents
+        assert plan["traversed"] == traversed
+        assert plan["pushed_query"] == pushed
+        assert plan["hop_bound"] == hop_bound
+
+
 class TestPruning:
     @pytest.fixture(scope="class")
     def db(self):
