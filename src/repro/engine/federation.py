@@ -30,9 +30,9 @@ degradation is *visible*:
   elapses, then a single half-open probe decides whether to close the
   circuit again;
 * **concurrent fan-out with an overall deadline** in
-  :meth:`Federation._scatter`, the one routine every multi-node call
-  goes through: a hung node costs the deadline, not the sum of every
-  node's timeout, and is reported as failed;
+  :meth:`Federation._scatter`, the one routine every multi-node call to
+  remote nodes goes through: a hung node costs the deadline, not the
+  sum of every node's timeout, and is reported as failed;
 * aggregates such as :meth:`Federation.count_all` carry ``__errors__``
   and ``__partial__`` markers so a degraded answer can never be
   mistaken for a complete one.
@@ -736,7 +736,11 @@ class Federation:
         guarded: bool = False,
     ) -> dict[str, NodeResult]:
         """Run ``{name: thunk}`` concurrently under one deadline — the
-        one fan-out every multi-node call goes through.
+        one fan-out for remote nodes, whose threads overlap socket
+        waits.  In-process shards do not come through here: under the
+        GIL their threads would overlap nothing, so the shard
+        coordinator calls :meth:`_call_node` per shard on its own
+        thread.
 
         Returns a :class:`NodeResult` per name, in ``calls`` order.  A
         thunk still running when ``deadline`` (default: the

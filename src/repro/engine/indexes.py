@@ -383,7 +383,7 @@ class IndexManager:
 
 
 def _category(key: Any) -> str:
-    """Comparison category of a B-tree key (see ``_SortKey``)."""
+    """Comparison category of a B-tree key (see ``_sort_key``)."""
     if isinstance(key, bool):
         return "bool"
     if isinstance(key, (int, float)):

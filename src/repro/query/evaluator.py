@@ -228,12 +228,14 @@ class Evaluator:
             span.__enter__()
         plan = self.context.plan
         try:
-            kept: list[tuple[tuple[_SortKey, ...], Any]] = []
+            kept: list[tuple[tuple[Any, ...], Any]] = []
             for env in self._naive_rows(query, outer_env):
                 # ORDER BY keys are computed against the binding environment,
                 # before projection, so they may use any bound variable.
                 keys = tuple(
-                    _SortKey(self._eval(item.expression, env), item.descending)
+                    _sort_key(
+                        self._eval(item.expression, env), item.descending
+                    )
                     for item in query.order_by
                 )
                 kept.append((keys, self._project(query, env)))
@@ -288,7 +290,7 @@ class Evaluator:
                 groups[key] = []
                 order.append(key)
             groups[key].append(env)
-        kept: list[tuple[tuple[_SortKey, ...], Any]] = []
+        kept: list[tuple[tuple[Any, ...], Any]] = []
         for key in order:
             rows = groups[key]
             if query.having is not None and not _truthy(
@@ -308,7 +310,7 @@ class Evaluator:
                 alias_values = projected
             # ORDER BY may name projection aliases or group expressions.
             sort_keys = tuple(
-                _SortKey(
+                _sort_key(
                     alias_values[item.expression.name]
                     if isinstance(item.expression, Variable)
                     and item.expression.name in alias_values
@@ -772,39 +774,42 @@ class Evaluator:
 # helpers
 # ---------------------------------------------------------------------------
 
-class _SortKey:
-    """Total-order key tolerating None and mixed types, with direction."""
+def _sort_key(value: Any, descending: bool) -> Any:
+    """ORDER BY key of one value, ranked once per row.
 
-    __slots__ = ("value", "descending")
+    The rank ``(category, value)`` totally orders mixed types — None <
+    bool < number < str < PObject (by oid) < anything else (by repr) —
+    and compares as a plain tuple, in C.  A descending key wraps the
+    rank in :class:`_Descending`.
+    """
+    if value is None:
+        rank: tuple[int, Any] = (0, 0)
+    elif isinstance(value, bool):
+        rank = (1, value)
+    elif isinstance(value, (int, float)):
+        rank = (2, value)
+    elif isinstance(value, str):
+        rank = (3, value)
+    elif isinstance(value, PObject):
+        rank = (4, value.oid)
+    else:
+        rank = (5, repr(value))
+    return _Descending(rank) if descending else rank
 
-    def __init__(self, value: Any, descending: bool) -> None:
-        self.value = value
-        self.descending = descending
 
-    def _rank(self) -> tuple[int, Any]:
-        v = self.value
-        if v is None:
-            return (0, 0)
-        if isinstance(v, bool):
-            return (1, int(v))
-        if isinstance(v, (int, float)):
-            return (2, v)
-        if isinstance(v, str):
-            return (3, v)
-        if isinstance(v, PObject):
-            return (4, v.oid)
-        return (5, repr(v))
+class _Descending:
+    """A rank with its order reversed; equality is the rank's own."""
 
-    def __lt__(self, other: "_SortKey") -> bool:
-        a, b = self._rank(), other._rank()
-        if self.descending:
-            a, b = b, a
-        if a[0] != b[0]:
-            return a[0] < b[0]
-        return a[1] < b[1]
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: tuple[int, Any]) -> None:
+        self.rank = rank
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.rank < self.rank
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortKey) and self._rank() == other._rank()
+        return isinstance(other, _Descending) and self.rank == other.rank
 
 
 def _apply_binary(op: str, left: Any, right: Any) -> Any:

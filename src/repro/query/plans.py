@@ -469,7 +469,7 @@ class BindOrderedScan(PlanOp):
         }
 
     def rows(self, ev: "Evaluator", env: Env, run: _Run) -> Iterator[Env]:
-        from .evaluator import _SortKey
+        from .evaluator import _sort_key
 
         ctx = ev.context
         info = ctx.plan
@@ -496,7 +496,7 @@ class BindOrderedScan(PlanOp):
                         info.access_paths.append(f"sorted_scan:{self.class_name}")
                     values = sorted(
                         ctx.schema.extent(self.class_name),
-                        key=lambda o: _SortKey(
+                        key=lambda o: _sort_key(
                             ev._attribute(o, self.attribute), self.descending
                         ),
                     )
@@ -668,7 +668,7 @@ class SelectPlan:
         return self.source.rows(ev, outer_env, run)
 
     def execute(self, ev: "Evaluator", outer_env: Env) -> list[Any]:
-        from .evaluator import _distinct, _SortKey
+        from .evaluator import _distinct, _sort_key
 
         query = self.query
         run = _Run()
@@ -678,7 +678,7 @@ class SelectPlan:
             kept: list[tuple[tuple[Any, ...], Any]] = []
             for env in rows:
                 keys = tuple(
-                    _SortKey(ev._eval(item.expression, env), item.descending)
+                    _sort_key(ev._eval(item.expression, env), item.descending)
                     for item in query.order_by
                 )
                 kept.append((keys, ev._project(query, env)))

@@ -17,10 +17,11 @@ The package splits into four layers:
   depth-bounded rounds — into a coordinator-side view and run the
   retained naive evaluator over it: the fallback that keeps every
   construct correct).
-- :mod:`repro.sharding.coordinator` — executes those plans over
-  federation's breakers and deadline fan-out, owns the global OID
-  allocator (so topologies are byte-comparable), and applies sessions
-  and rebalances deterministically.
+- :mod:`repro.sharding.coordinator` — executes those plans through
+  federation's breakers, one in-process shard after another on the
+  caller's thread, owns the global OID allocator (so topologies are
+  byte-comparable), and applies sessions and rebalances
+  deterministically.
 - :mod:`repro.sharding.rebalance` — ships extents between shards over
   the PLSB replication frame codec (CRC-gated), bumping the shard-map
   epoch so response caches can never serve a pre-move body.

@@ -5,8 +5,9 @@ change object identity: the same logical database built on a 1-shard
 and a 4-shard topology assigns identical OIDs, which is what lets the
 topology differential suite demand byte-identical responses), the
 OID → shard router, the shard map, and a :class:`~repro.engine.
-federation.Federation` whose nodes are the shards — scatter reuses
-federation's circuit breakers and deadline fan-out verbatim.
+federation.Federation` whose nodes are the shards — every shard call
+goes through federation's circuit breakers, on the caller's thread
+(shards are in-process, so threads would overlap nothing).
 
 Mutations are funneled through the coordinator so both topologies take
 the *same* code path: creates go through the owning shard's normal
@@ -36,7 +37,7 @@ from ..engine.federation import Federation
 from ..errors import PrometheusError, SnapshotError
 from ..mvcc.view import SnapshotSchema
 from ..query import parse, typecheck
-from ..query.evaluator import Evaluator, QueryContext, _distinct, _SortKey
+from ..query.evaluator import Evaluator, QueryContext, _distinct, _sort_key
 from ..query.nodes import QueryPlanInfo, SelectQuery
 from ..telemetry import DISABLED, Telemetry
 from .planner import DistributedPlan, DistributedPlanner
@@ -70,7 +71,7 @@ class LocalShardClient:
     coordinator and rebalancer need.
 
     Shards sit in ``Federation.nodes`` so every coordinator fan-out
-    inherits breakers and the deadline; the coordinator reaches them
+    inherits their breakers; the coordinator reaches them
     only through :meth:`ShardedDatabase._fanout` thunks, never through
     federation's node-shaped calls.
     """
@@ -317,7 +318,6 @@ class ShardedDatabase:
         ddl: Callable[[Schema], None],
         index_ddl: Callable[[PrometheusDB], None] | None = None,
         telemetry: Telemetry = DISABLED,
-        deadline: float | None = 30.0,
         breaker_threshold: int = 5,
     ) -> None:
         self.map = shard_map
@@ -337,7 +337,6 @@ class ShardedDatabase:
         self.federation = Federation(
             nodes=dict(self.shards),  # type: ignore[arg-type]
             retry=None,
-            deadline=deadline,
             breaker_threshold=breaker_threshold,
             telemetry=telemetry,
         )
@@ -371,9 +370,6 @@ class ShardedDatabase:
         self.shards[shard].set_attr(oid, name, value)
         if name == self.map.key_attr:
             self._maybe_relocate(oid)
-
-    def get(self, oid: int, name: str) -> Any:
-        return self.shards[self._owner(oid)].get_attr(oid, name)
 
     def session(self) -> ShardedSession:
         return ShardedSession(self)
@@ -540,19 +536,6 @@ class ShardedDatabase:
                 help="Current shard-map epoch on the coordinator",
             ).set(self.map.epoch)
 
-    @property
-    def shard_map_epoch(self) -> int:
-        return self.map.epoch
-
-    def describe(self) -> dict[str, Any]:
-        """Topology summary (CLI ``.shardmap``)."""
-        return {
-            "map": self.map.describe(),
-            "placement": self.router.counts(),
-            "objects": len(self.router),
-            "seq": self.seq,
-        }
-
     # -- queries -------------------------------------------------------------
 
     def query(
@@ -626,36 +609,35 @@ class ShardedDatabase:
         shard_names: tuple[str, ...],
         call: Callable[[LocalShardClient], Any],
     ) -> dict[str, Any]:
-        """Run ``call`` against each shard through federation's breaker
-        guard and deadline fan-out; semantic (PrometheusError) failures
-        are tagged per shard and re-raised as one deterministic
-        :class:`ShardExecutionError`."""
+        """Run ``call`` against each shard in sorted order, on the
+        caller's thread, through federation's breaker guard.
 
-        def tagged(client: LocalShardClient) -> tuple[str, Any, str]:
+        Every shard is asked even after one fails.  Semantic
+        (PrometheusError) failures are tagged per shard inside the guard
+        — an answer, not a breaker failure — and re-raised as one
+        deterministic :class:`ShardExecutionError`; anything else,
+        including an open breaker, is ``__infra__``."""
+
+        def tagged(client: LocalShardClient) -> tuple[str, Any]:
             try:
-                return ("ok", call(client), "")
+                return ("ok", call(client))
             except PrometheusError as exc:
-                return ("error", None, type(exc).__name__)
+                return ("error", type(exc).__name__)
 
-        federation = self.federation
-        calls = {
-            name: partial(
-                federation._call_node, name, partial(tagged, self.shards[name])
-            )
-            for name in shard_names
-        }
-        raw = federation._scatter(calls, guarded=True)
+        call_node = self.federation._call_node
         results: dict[str, Any] = {}
         kinds: list[str] = []
         infra: list[str] = []
-        for name in sorted(raw):
-            answer = raw[name]
-            if not answer.ok:
-                infra.append(f"{name}: {answer.error}")
+        for name in sorted(shard_names):
+            try:
+                status, value = call_node(
+                    name, partial(tagged, self.shards[name])
+                )
+            except Exception as exc:
+                infra.append(f"{name}: {str(exc) or type(exc).__name__}")
                 continue
-            status, value, kind = answer.result
             if status == "error":
-                kinds.append(kind)
+                kinds.append(value)
             else:
                 results[name] = value
         if infra:
@@ -702,7 +684,7 @@ class ShardedDatabase:
         for obj in merged:
             env = {variable: obj}
             keys = tuple(
-                _SortKey(
+                _sort_key(
                     evaluator._eval(item.expression, env),
                     item.descending,
                 )

@@ -241,18 +241,6 @@ class ShardMap:
         except (ValueError, KeyError, TypeError) as exc:
             raise ShardMapError(f"bad shard-map blob: {exc}") from exc
 
-    def describe(self) -> dict[str, object]:
-        """JSON-friendly summary (CLI ``.shardmap``, distributed EXPLAIN)."""
-        return {
-            "epoch": self.epoch,
-            "key_attr": self.key_attr,
-            "shards": list(self.shards),
-            "ranges": [
-                {"shard": r.shard, "lo": r.lo, "hi": r.hi}
-                for r in self.ranges
-            ],
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         spans = ", ".join(
             f"{r.shard}[{r.lo!r}:{r.hi!r})" for r in self.ranges

@@ -11,6 +11,8 @@ with federation's breakers engaged).
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import PrometheusError
@@ -237,6 +239,69 @@ class TestFanoutFailures:
             check=False,
         )
         assert isinstance(rows, list)
+
+    def test_shard_queries_start_no_thread(self, monkeypatch):
+        """In-process shards are called on the caller's thread: under
+        the GIL a thread per shard overlaps nothing."""
+        db = build_topology(4)
+        populate(db, 61)
+        texts = {
+            "scatter": "select a from a in Base order by a.size",
+            "scatter_count": "select count(a) from a in Base",
+            "gather": "select b.label from a in Base, b in a->Bridges",
+        }
+        for mode, text in texts.items():
+            assert db.explain(text)["mode"] == mode
+        started = []
+        original = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for text in texts.values():
+            assert db.query(text, check=False)
+        assert started == []
+
+    def test_open_breaker_and_lost_shard_are_infra(self):
+        """A shard whose breaker is open and one that loses its
+        connection both read ``__infra__``; every other shard is still
+        asked, and only the called shards' breakers move."""
+        db = build_topology(4)
+        populate(db, 67)
+        federation = db.federation
+        opened = federation.breaker("s0")
+        for _ in range(federation.breaker_threshold):
+            opened.record_failure()
+        failures_before = opened.consecutive_failures
+        asked = []
+
+        def dead(text, params=None, as_of=None):
+            raise ConnectionError("")
+
+        def answering(name, query):
+            def answer(text, params=None, as_of=None):
+                asked.append(name)
+                return query(text, params, as_of)
+
+            return answer
+
+        db.shards["s2"].query = dead
+        for name in ("s1", "s3"):
+            db.shards[name].query = answering(name, db.shards[name].query)
+        with pytest.raises(ShardExecutionError) as err:
+            db.query("select a from a in Base", check=False)
+        assert err.value.kinds == ["__infra__"]
+        assert "s0: " in str(err.value) and "s2: ConnectionError" in str(
+            err.value
+        )
+        assert sorted(asked) == ["s1", "s3"]
+        assert opened.state == "open"
+        assert opened.consecutive_failures == failures_before
+        assert federation.breaker("s2").consecutive_failures == 1
+        assert federation.breaker("s1").consecutive_failures == 0
+        assert federation.breaker("s3").consecutive_failures == 0
 
 
 class TestTelemetry:

@@ -130,7 +130,9 @@ class TestEvolution:
     def test_blob_roundtrip(self):
         m = four_shard().split("s1", "h", "s5")
         again = ShardMap.from_blob(m.to_blob())
-        assert again.describe() == m.describe()
+        assert (again.epoch, again.key_attr, again.ranges) == (
+            m.epoch, m.key_attr, m.ranges
+        )
 
     def test_bad_blob_raises(self):
         with pytest.raises(ShardMapError):
