@@ -388,7 +388,7 @@ class PrometheusDB:
     @property
     def views(self) -> ViewManager:
         if self._views is None:
-            self._views = ViewManager(self.schema, self.classifications)
+            self._views = ViewManager(self)
         return self._views
 
     @property
@@ -458,6 +458,27 @@ class PrometheusDB:
                 "log (stamp_shard_map), not by assignment"
             )
         self._shard_map_epoch = epoch
+
+    def read_stamp(self) -> tuple[int, int, int, int, int]:
+        """Every version a live read can depend on, as one tuple.
+
+        ``schema.version`` (class/index-relevant DDL), the index-catalog
+        epoch (plans change), the commit LSN (committed data changes —
+        on a replica this advances with every applied batch), the event
+        bus's lifetime publish count (direct *uncommitted* mutations on
+        the implicit session are query-visible, and an abort publishes
+        too) and the shard-map epoch (a rebalance moved objects).  A
+        result read while the stamp was ``s`` may be reused exactly as
+        long as ``read_stamp() == s``: the response cache and
+        materialized views both reuse on this rule.
+        """
+        return (
+            self.schema.version,
+            self.indexes.epoch,
+            self.lsn,
+            self.schema.events.published,
+            self.shard_map_epoch,
+        )
 
     def snapshot(self, as_of: int | None = None) -> "DatabaseSnapshot":
         """Pin a consistent point-in-time handle (default: now).

@@ -20,16 +20,16 @@ three throughput features:
 * **Pre-serialized response cache** — 200-responses of ``POST /query``
   and ``POST /resolve`` are cached as ready-to-send bytes, keyed by the
   raw request (path + body + codec) like the planner's literal-
-  normalized plan cache, and stamped with ``(schema.version,
-  index epoch, commit LSN, events published, cluster epoch)``.  Any
-  schema change, commit, direct mutation, index change or promotion
-  changes the stamp and the entry misses — a cache hit never serves a
-  stale byte.  Hits skip parsing, planning, evaluation *and*
-  serialization; the ``repro_server_response_cache_*`` counters are
-  reconciled at scrape time.  :meth:`HttpHandlers.serve_cached` is the
-  hit half alone, for the async front end's event loop: it never runs
-  a route, and on a miss it leaves the armed slot on the request so
-  the worker's :meth:`HttpHandlers.handle` does not look it up twice.
+  normalized plan cache, and stamped with the database's
+  ``read_stamp()`` plus the cluster epoch.  Any schema change, commit,
+  direct mutation, abort, index change or promotion changes the stamp
+  and the entry misses — a cache hit never serves a stale byte.  Hits
+  skip parsing, planning, evaluation *and* serialization; the
+  ``repro_server_response_cache_*`` counters are reconciled at scrape
+  time.  :meth:`HttpHandlers.serve_cached` is the hit half alone, for
+  the async front end's event loop: it never runs a route, and on a
+  miss it leaves the armed slot on the request so the worker's
+  :meth:`HttpHandlers.handle` does not look it up twice.
 * **Batched resolution** — ``POST /resolve`` answers many
   name→object/lineage lookups in one round-trip (the set-at-a-time
   access the OverRelational Manifesto argues a storage boundary should
@@ -389,26 +389,11 @@ class HttpHandlers:
     # -- the response cache ------------------------------------------------
 
     def _stamp(self) -> tuple:
-        """The invalidation stamp: every version a read can depend on.
-
-        ``schema.version`` (class/index-relevant DDL), the index-catalog
-        epoch (plans change), the commit LSN (committed data changes —
-        on a replica this advances with every applied batch), the event
-        bus's lifetime publish count (direct *uncommitted* mutations on
-        the implicit session are query-visible), the cluster epoch
-        (a promotion must never serve the deposed reign's bytes), and
-        the shard-map epoch (a rebalance moved objects — bodies cached
-        against the old placement must not outlive it).
-        """
-        db = self.db
-        return (
-            db.schema.version,
-            db.indexes.epoch,
-            db.lsn,
-            db.schema.events.published,
-            self._epoch(),
-            db.shard_map_epoch,
-        )
+        """The invalidation stamp: :meth:`PrometheusDB.read_stamp` (every
+        version a read can depend on) plus the cluster epoch this node
+        serves under — a promotion must never serve the deposed reign's
+        bytes, and under HA the epoch comes from the controller."""
+        return self.db.read_stamp() + (self._epoch(),)
 
     def _cache_key(self, request: Request) -> tuple | None:
         parts = [p for p in urlparse(request.path).path.split("/") if p]

@@ -60,7 +60,8 @@ class _HashIndex:
 
 
 class _BTreeIndex:
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self._tree = BTree()
         self._nulls: set[int] = set()
         # Non-null key *comparison categories* present in the tree
@@ -74,21 +75,45 @@ class _BTreeIndex:
             self._nulls.add(oid)
         else:
             before = len(self._tree)
-            self._tree.insert(key, oid)
+            try:
+                self._tree.insert(key, oid)
+            except TypeError:
+                # The tree is unchanged: a failed comparison inserts
+                # nothing (splits on the way down keep it valid).
+                raise self._unorderable(key) from None
             if len(self._tree) != before:
                 cat = _category(key)
                 self._categories[cat] = self._categories.get(cat, 0) + 1
 
-    def remove(self, key: Any, oid: int) -> None:
+    def _unorderable(self, key: Any) -> SchemaError:
+        clash = next(
+            (
+                type(other).__name__
+                for other in self._tree.keys()
+                if not _orders(other, key)
+            ),
+            "a stored key",
+        )
+        return SchemaError(
+            f"btree index {self.name} cannot order "
+            f"{type(key).__name__} beside {clash}"
+        )
+
+    def remove(self, key: Any, oid: int) -> bool:
+        """Drop one entry; True if it was present."""
         if key is None:
+            present = oid in self._nulls
             self._nulls.discard(oid)
-        elif self._tree.remove(key, oid):
-            cat = _category(key)
-            count = self._categories.get(cat, 0) - 1
-            if count <= 0:
-                self._categories.pop(cat, None)
-            else:
-                self._categories[cat] = count
+            return present
+        if not self._tree.remove(key, oid):
+            return False
+        cat = _category(key)
+        count = self._categories.get(cat, 0) - 1
+        if count <= 0:
+            self._categories.pop(cat, None)
+        else:
+            self._categories[cat] = count
+        return True
 
     def get(self, key: Any) -> frozenset[int]:
         if key is None:
@@ -125,7 +150,7 @@ class Index:
         self.attribute = attribute
         self.kind = kind
         self.impl: _HashIndex | _BTreeIndex = (
-            _HashIndex() if kind is IndexKind.HASH else _BTreeIndex()
+            _HashIndex() if kind is IndexKind.HASH else _BTreeIndex(self.name)
         )
         self.probes = 0
 
@@ -166,7 +191,11 @@ class IndexManager:
     def create_index(
         self, class_name: str, attribute: str, kind: str | IndexKind = "hash"
     ) -> Index:
-        """Declare and build an index; existing instances are indexed now."""
+        """Declare and build an index; existing instances are indexed now.
+
+        A B-tree over values that do not order together (an int beside
+        a str) is refused with :class:`SchemaError`; nothing registers.
+        """
         resolved = IndexKind(kind) if isinstance(kind, str) else kind
         pclass = self.schema.get_class(class_name)
         if not pclass.has_attribute(attribute):
@@ -223,8 +252,16 @@ class IndexManager:
             return
         if event.kind is EventKind.AFTER_UPDATE:
             for index in self._covering(event.class_name, event.attribute):
-                index.impl.remove(event.old_value, target.oid)
-                index.impl.insert(event.new_value, target.oid)
+                present = index.impl.remove(event.old_value, target.oid)
+                try:
+                    index.impl.insert(event.new_value, target.oid)
+                except SchemaError:
+                    # Only a B-tree refuses a key.  The refusal vetoes the
+                    # assignment, which the object layer rolls back:
+                    # restore the entry it had.
+                    if present:
+                        index.impl.insert(event.old_value, target.oid)
+                    raise
         elif event.kind in (EventKind.AFTER_CREATE, EventKind.AFTER_RELATE):
             for index in self._covering(event.class_name, None):
                 index.impl.insert(target.get(index.attribute), target.oid)
@@ -250,7 +287,7 @@ class IndexManager:
             impl: _HashIndex | _BTreeIndex = (
                 _HashIndex()
                 if index.kind is IndexKind.HASH
-                else _BTreeIndex()
+                else _BTreeIndex(index.name)
             )
             if self.schema.has_class(index.class_name):
                 for obj in self.schema.extent(index.class_name):
@@ -322,9 +359,11 @@ class IndexManager:
             for _, bucket in walk:
                 oids |= bucket
         except TypeError:
-            # Bound incomparable with the stored keys: let the caller
-            # fall back to a scan so the filter decides (and raises the
-            # same TypeError the naive comparison would).
+            # Bound incomparable with the stored keys: fall back to a
+            # scan so the WHERE filter decides, conjunct by conjunct in
+            # the naive order — it raises the EvaluationError the naive
+            # comparison would, or answers where a conjunct before the
+            # comparison rules every row out.
             return None
         return self._load(oids)
 
@@ -391,6 +430,14 @@ def _category(key: Any) -> str:
     if isinstance(key, str):
         return "str"
     return "other"
+
+
+def _orders(a: Any, b: Any) -> bool:
+    try:
+        a < b
+    except TypeError:
+        return False
+    return True
 
 
 def _hashable(value: Any) -> Any:

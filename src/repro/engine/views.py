@@ -1,208 +1,73 @@
 """The views layer (thesis §6.1.3).
 
-A view is a named, stored POOL query.  Views can be **materialized**: the
-result list is cached and invalidated whenever any mutation event occurs
-(coarse but correct — the thesis's view layer likewise trades precision
-for simplicity).  A **classification view** scopes a whole classification
-as a view, giving applications the "one classification at a time"
-perspective older systems hard-coded, without losing the others.
+A view is a named POOL query over a :class:`PrometheusDB`:
+:meth:`ViewManager.evaluate` returns exactly
+``db.query(view.query_text, params, as_of=as_of)``, so the planner, its
+plan cache, ``as_of`` time travel and EXPLAIN apply to a view as to any
+query, and a view's read guarantees are ``db.query``'s.
+
+A **materialized** view keeps its last live, parameterless result
+together with the :meth:`PrometheusDB.read_stamp` it was read under, and
+serves a copy only while the database's stamp still equals it.  The
+stamp moves on every commit, direct mutation, abort, replica apply,
+schema or index change and rebalance — the same stamp the HTTP response
+cache keys on — so reuse is one tuple comparison and cannot miss a
+change the event bus never announces.  Calls with ``params`` or
+``as_of`` always run the query.
+
+A **classification view** scopes a whole classification as a view,
+giving applications the "one classification at a time" perspective
+older systems hard-coded, without losing the others.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..classification import ClassificationManager, extract_graph
-from ..core.events import Event, EventKind
-from ..core.schema import Schema
+from ..classification import extract_graph
 from ..errors import QueryError, SchemaError
 from ..query import parse
-from ..query.evaluator import Evaluator, QueryContext
 from ..query.typecheck import typecheck
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..classification import GraphView
-
-_MUTATIONS = {
-    EventKind.AFTER_CREATE,
-    EventKind.AFTER_UPDATE,
-    EventKind.AFTER_DELETE,
-    EventKind.AFTER_RELATE,
-    EventKind.AFTER_UNRELATE,
-}
+    from .database import PrometheusDB
 
 
 class View:
-    """One stored query."""
+    """One named query."""
 
     def __init__(
         self,
+        db: "PrometheusDB",
         name: str,
         query_text: str,
         materialized: bool = False,
         description: str = "",
     ) -> None:
+        self._db = db
         self.name = name
         self.query_text = query_text
         self.materialized = materialized
         self.description = description
         self.ast = parse(query_text)
-        self._cache: list[Any] | None = None
         self.refreshes = 0
-        self.invalidations = 0
-        #: Class names whose mutations invalidate this view's cache
-        #: (None = depend on everything; filled in by the manager).
-        self.depends_on: frozenset[str] | None = None
-
-    def invalidate(self) -> None:
-        if self._cache is not None:
-            self.invalidations += 1
-        self._cache = None
+        #: ``(read stamp, rows)`` of the last materialized read.
+        self._result: tuple[tuple, list[Any]] | None = None
 
     @property
     def is_fresh(self) -> bool:
-        return self._cache is not None
+        """True while the stored result's stamp is the database's."""
+        result = self._result
+        return result is not None and result[0] == self._db.read_stamp()
 
 
 class ViewManager:
-    """Registry and evaluator of views over one schema."""
+    """Registry and evaluator of views over one database."""
 
-    def __init__(
-        self,
-        schema: Schema,
-        classifications: ClassificationManager | None = None,
-    ) -> None:
-        self.schema = schema
-        self.classifications = classifications
+    def __init__(self, db: "PrometheusDB") -> None:
+        self._db = db
         self._views: dict[str, View] = {}
-        self._unsubscribe = schema.events.subscribe(
-            self._on_event, kinds=_MUTATIONS
-        )
-
-    def detach(self) -> None:
-        self._unsubscribe()
-
-    def _on_event(self, event: Event) -> None:
-        for view in self._views.values():
-            if not view.materialized or not view.is_fresh:
-                continue
-            if self._affects(view, event):
-                view.invalidate()
-
-    def _affects(self, view: View, event: Event) -> bool:
-        """Class-scoped invalidation: a mutation only stales a view whose
-        dependency set covers the event's class (or a related class in
-        the hierarchy)."""
-        if view.depends_on is None or not event.class_name:
-            return True
-        if not self.schema.has_class(event.class_name):
-            return True
-        event_class = self.schema.get_class(event.class_name)
-        for name in view.depends_on:
-            if not self.schema.has_class(name):
-                return True
-            dependency = self.schema.get_class(name)
-            if event_class.is_subclass_of(dependency) or dependency.is_subclass_of(
-                event_class
-            ):
-                return True
-        return False
-
-    @staticmethod
-    def _dependencies(ast: Any, schema: Schema) -> frozenset[str] | None:
-        """Class names a query reads: extent sources, relationship
-        traversals (plus their endpoint classes) and downcasts.  Returns
-        None (depend on everything) when the query's sources cannot be
-        determined statically."""
-        from ..core.relationships import RelationshipClass
-        from ..query.nodes import (
-            Binary,
-            Binding,
-            Downcast,
-            ExistsExpr,
-            MethodCall,
-            SelectQuery,
-            SetOperation,
-            Traversal,
-            Unary,
-        )
-        from ..query.nodes import AttributeAccess, FunctionCall, OrderItem
-
-        found: set[str] = set()
-
-        def add_relationship(name: str) -> None:
-            found.add(name)
-            if schema.has_class(name):
-                klass = schema.get_class(name)
-                if isinstance(klass, RelationshipClass):
-                    found.add(klass.origin_class_name)
-                    found.add(klass.destination_class_name)
-
-        def walk(node: Any) -> None:
-            if isinstance(node, SelectQuery):
-                for binding in node.bindings:
-                    walk(binding)
-                for item in node.projection:
-                    walk(item.expression)
-                if node.where is not None:
-                    walk(node.where)
-                for expr in node.group_by:
-                    walk(expr)
-                if node.having is not None:
-                    walk(node.having)
-                for order in node.order_by:
-                    walk(order.expression)
-                return
-            if isinstance(node, SetOperation):
-                walk(node.left)
-                walk(node.right)
-                return
-            if isinstance(node, Binding):
-                from ..query.nodes import Variable
-
-                if isinstance(node.source, Variable) and schema.has_class(
-                    node.source.name
-                ):
-                    found.add(node.source.name)
-                else:
-                    walk(node.source)
-                return
-            if isinstance(node, Traversal):
-                add_relationship(node.relationship)
-                walk(node.target)
-                return
-            if isinstance(node, Downcast):
-                found.add(node.class_name)
-                walk(node.target)
-                return
-            if isinstance(node, ExistsExpr):
-                walk(node.subquery)
-                return
-            if isinstance(node, Binary):
-                walk(node.left)
-                walk(node.right)
-                return
-            if isinstance(node, Unary):
-                walk(node.operand)
-                return
-            if isinstance(node, (MethodCall, FunctionCall)):
-                target = getattr(node, "target", None)
-                if target is not None:
-                    walk(target)
-                for arg in node.args:
-                    walk(arg)
-                return
-            if isinstance(node, AttributeAccess):
-                walk(node.target)
-                return
-            if isinstance(node, OrderItem):  # pragma: no cover - reached above
-                walk(node.expression)
-
-        try:
-            walk(ast)
-        except Exception:  # pragma: no cover - absolute safety net
-            return None
-        return frozenset(found) if found else None
 
     # -- definition -----------------------------------------------------------
 
@@ -216,18 +81,19 @@ class ViewManager:
         """Define a view; the query is parsed and type-checked eagerly."""
         if name in self._views:
             raise SchemaError(f"view {name!r} already defined")
+        db = self._db
         view = View(
+            db,
             name,
             query_text,
             materialized=materialized,
             description=description,
         )
-        report = typecheck(self.schema, view.ast, self.classifications)
+        report = typecheck(db.schema, view.ast, db.classifications)
         if not report.ok:
             raise QueryError(
                 f"view {name!r} does not type-check: {'; '.join(report.errors)}"
             )
-        view.depends_on = self._dependencies(view.ast, self.schema)
         self._views[name] = view
         return view
 
@@ -245,20 +111,28 @@ class ViewManager:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def evaluate(self, name: str, params: dict[str, Any] | None = None) -> Any:
-        """Evaluate a view; materialized parameterless views are cached."""
+    def evaluate(
+        self,
+        name: str,
+        params: dict[str, Any] | None = None,
+        as_of: int | None = None,
+    ) -> Any:
+        """``db.query`` of the view's text; a materialized view reuses
+        its last live, parameterless result while the read stamp is
+        unchanged."""
         view = self.get(name)
-        cacheable = view.materialized and not params
-        if cacheable and view._cache is not None:
-            return list(view._cache)
-        context = QueryContext(
-            schema=self.schema,
-            classifications=self.classifications,
-            params=params or {},
-        )
-        result = Evaluator(context).run(view.ast)
-        if cacheable and isinstance(result, list):
-            view._cache = list(result)
+        db = self._db
+        if not view.materialized or params or as_of is not None:
+            return db.query(view.query_text, params, as_of=as_of)
+        # Stamped before the read: a commit racing it can only leave
+        # the stored result stale-stamped (a later miss), never serve it.
+        stamp = db.read_stamp()
+        stored = view._result
+        if stored is not None and stored[0] == stamp:
+            return list(stored[1])
+        result = db.query(view.query_text)
+        if isinstance(result, list):
+            view._result = (stamp, list(result))
             view.refreshes += 1
         return result
 
@@ -268,7 +142,5 @@ class ViewManager:
         """The whole classification as a detached graph — the "single
         classification" perspective of traditional systems (§3.2.1's view
         discussion), derived rather than stored."""
-        if self.classifications is None:
-            raise SchemaError("no classification manager attached")
-        classification = self.classifications.get(classification_name)
+        classification = self._db.classifications.get(classification_name)
         return extract_graph(classification)

@@ -813,42 +813,52 @@ class _Descending:
 
 
 def _apply_binary(op: str, left: Any, right: Any) -> Any:
-    """Value-level binary operator semantics (no short-circuit ops)."""
-    if op == "in":
-        if right is None:
-            return False
-        if isinstance(right, str):
-            return isinstance(left, str) and left in right
-        return left in list(right)
-    if op == "like":
-        return _like(left, right)
-    if op in ("=", "!="):
-        equal = _equal(left, right)
-        return equal if op == "=" else not equal
-    if left is None or right is None:
-        return None
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise EvaluationError("division by zero")
-        return left / right
-    if op == "%":
-        if right == 0:
-            raise EvaluationError("modulo by zero")
-        return left % right
+    """Value-level binary operator semantics (no short-circuit ops).
+
+    Operands that do not order or combine (``3 < "x"``) are a typed
+    refusal: :class:`EvaluationError`, never a bare ``TypeError``.
+    """
+    try:
+        if op == "in":
+            if right is None:
+                return False
+            if isinstance(right, str):
+                return isinstance(left, str) and left in right
+            return left in list(right)
+        if op == "like":
+            return _like(left, right)
+        if op in ("=", "!="):
+            equal = _equal(left, right)
+            return equal if op == "=" else not equal
+        if left is None or right is None:
+            return None
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        if op == ">=":
+            return left >= right
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            if right == 0:
+                raise EvaluationError("division by zero")
+            return left / right
+        if op == "%":
+            if right == 0:
+                raise EvaluationError("modulo by zero")
+            return left % right
+    except TypeError:
+        raise EvaluationError(
+            f"cannot apply {op!r} to {type(left).__name__} "
+            f"and {type(right).__name__}"
+        ) from None
     raise EvaluationError(f"unknown operator {op!r}")
 
 

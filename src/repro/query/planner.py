@@ -18,11 +18,14 @@ time-travel evaluation honest: a snapshot query is compiled (and cached)
 under its own snapshot LSN, with live-index access paths disabled —
 it can never hit a plan compiled against newer index statistics, and a
 live query can never hit a scan-only snapshot plan.
-``AFTER_ABORT`` on the event bus evicts the whole cache: a rollback
-rebuilds the index layer behind the planner's back (see
-``IndexManager._on_event``), so cached access paths are re-derived from
-the restored state — cached plans never serve stale access paths under
-the transaction manager.
+``AFTER_ABORT`` on the event bus evicts the whole cache, so the first
+query after a rollback is planned afresh (EXPLAIN reports a cache miss)
+from the restored statistics.  The eviction is not needed for right
+answers: a rollback rebuilds index *contents* in place
+(``IndexManager._rebuild_all`` swaps each index's implementation) but
+never adds or drops an index, and a plan probes its indexes by
+``(class, attribute)`` when it runs, so a plan cached before the abort
+reads the rebuilt index (``tests/query/test_plan_cache_abort.py``).
 
 Plan choice never affects results, only speed: index probes seed
 candidate sets but the full WHERE clause is still applied, and the
@@ -171,8 +174,13 @@ class Planner:
     # -- cache plumbing -------------------------------------------------
 
     def attach(self, bus: Any) -> None:
-        """Subscribe to the event bus: a rollback rebuilds indexes from
-        live state, so every cached plan is evicted with it."""
+        """Subscribe to the event bus: a rollback evicts every cached plan.
+
+        Not for correctness — a cached plan reads the rebuilt indexes —
+        but so that a post-rollback query is planned from the restored
+        statistics and EXPLAIN reports that fresh plan, as
+        ``tests/query/test_explain_txn.py`` pins.
+        """
         bus.subscribe(self._on_event, kinds={EventKind.AFTER_ABORT})
 
     def _on_event(self, event: Any) -> None:

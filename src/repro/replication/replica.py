@@ -204,11 +204,10 @@ class ReplicaApplier:
 
         Every changed record goes through the object layer's event-free
         ``install`` / ``evict`` — the same pair a booting database loads
-        with — so rules, views and the planner's event hooks do not
-        re-fire for changes that already ran their course on the
-        primary, and nothing is marked dirty (a replica has nothing to
-        flush).  Attribute indexes follow through ``note_removed`` /
-        ``note_installed``.
+        with — so rules do not re-fire for changes that already ran
+        their course on the primary, and nothing is marked dirty (a
+        replica has nothing to flush).  Attribute indexes follow through
+        ``note_removed`` / ``note_installed``.
         """
         schema = self.db.schema
         indexes = self.db.indexes

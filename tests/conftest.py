@@ -22,6 +22,12 @@ def store(tmp_path):
 def make_people_schema(store: ObjectStore | None = None) -> Schema:
     """A small generic schema used across core tests."""
     schema = Schema(store, name="people")
+    declare_people(schema)
+    return schema
+
+
+def declare_people(schema: Schema) -> None:
+    """Define the people classes on an existing schema."""
     schema.define_class(
         "Person",
         [
@@ -56,7 +62,6 @@ def make_people_schema(store: ObjectStore | None = None) -> Schema:
             kind=RelKind.AGGREGATION, exclusive=True, lifetime_dependent=True
         ),
     )
-    return schema
 
 
 @pytest.fixture

@@ -109,3 +109,49 @@ class TestStatistics:
         indexes.create_index("Person", "age", kind="btree")
         names = [i.name for i in indexes.indexes()]
         assert names == ["Person.age[btree]", "Person.name[hash]"]
+
+
+class TestUnorderableKeys:
+    """A B-tree over values that do not order together is refused with
+    SchemaError naming the index and both types, and leaves the
+    extent, the index and queries in agreement."""
+
+    @staticmethod
+    def build(*values):
+        from repro.core import types as T
+        from repro.core.attributes import Attribute
+        from repro.engine import PrometheusDB
+
+        db = PrometheusDB()
+        db.schema.define_class("Thing", [Attribute("v", T.ANY)])
+        objs = [db.schema.create("Thing", v=v) for v in values]
+        return db, objs
+
+    def test_create_index_refused_and_registers_nothing(self):
+        db, _ = self.build(1, "a")
+        epoch = db.indexes.epoch
+        with pytest.raises(SchemaError, match=r"Thing\.v\[btree\].*str.*int"):
+            db.indexes.create_index("Thing", "v", "btree")
+        assert db.indexes.indexes() == []
+        assert db.indexes.epoch == epoch
+        assert db.query('select t.v from t in Thing where t.v = "a"') == ["a"]
+
+    def test_create_into_index_refused(self):
+        db, (one,) = self.build(1)
+        index = db.indexes.create_index("Thing", "v", "btree")
+        with pytest.raises(SchemaError, match=r"Thing\.v\[btree\].*str.*int"):
+            db.schema.create("Thing", v="a")
+        assert [obj.oid for obj in db.schema.extent("Thing")] == [one.oid]
+        assert len(index) == 1 and index.impl.nulls == frozenset()
+        assert db.query("select t.v from t in Thing") == [1]
+        assert db.query("select t.v from t in Thing where t.v >= 0") == [1]
+
+    def test_update_refused_keeps_old_entry(self):
+        db, (one, two) = self.build(1, 2)
+        db.indexes.create_index("Thing", "v", "btree")
+        with pytest.raises(SchemaError, match=r"Thing\.v\[btree\]"):
+            one.set("v", "a")
+        assert one.get("v") == 1
+        assert db.indexes.probe("Thing", "v", 1) == [one]
+        assert db.indexes.range_probe("Thing", "v", 1) == [one, two]
+        assert db.query("select t.v from t in Thing where t.v >= 1") == [1, 2]

@@ -225,6 +225,24 @@ class TestFanoutFailures:
             db.query("select a from a in Base", check=False)
         assert err.value.kinds == ["__infra__"]
 
+    def test_incomparable_values_are_refused_without_tripping_breakers(self):
+        """An int attribute compared with a string is a per-shard
+        EvaluationError — an answer, so no breaker moves and a healthy
+        query still runs after more bad ones than the threshold."""
+        db = build_topology(4)
+        populate(db, 53)
+        bad = "select a from a in Base where a.size > $p"
+        for _ in range(db.federation.breaker_threshold + 1):
+            with pytest.raises(ShardExecutionError) as err:
+                db.query(bad, params={"p": "x"})
+            assert err.value.kinds == ["EvaluationError"]
+        for name in sorted(db.shards):
+            breaker = db.federation.breaker(name)
+            assert breaker.state == "closed"
+            assert breaker.consecutive_failures == 0
+        count = db.query("select count(a) from a in Base")
+        assert count == [len(db.query("select a from a in Base"))]
+
     def test_pruned_query_avoids_the_dead_shard(self):
         db = build_topology(4)
         populate(db, 47)
