@@ -125,12 +125,9 @@ class Classification:
                 f"classification {self.name!r}: placing {child.oid} under "
                 f"{parent.oid} creates a cycle"
             )
-        edge = self.schema.relate(relationship, parent, child, **attrs)
-        try:
+        with self.schema.journal:  # a refused edge is never related
+            edge = self.schema.relate(relationship, parent, child, **attrs)
             self.add_edge(edge)
-        except ClassificationError:
-            self.schema.unrelate(edge)
-            raise
         return edge
 
     def _rebuild_adjacency(self) -> None:

@@ -294,7 +294,7 @@ class TransactionManager:
                     Event(kind=EventKind.BEFORE_COMMIT)
                 )
             except BaseException:
-                scope.rollback()  # idempotent if the engine already did
+                scope.journal.rollback()  # a no-op if the engine did
                 self.schema.events.publish(Event(kind=EventKind.AFTER_ABORT))
                 self._finish_scope()
                 txn.state = TxnState.ABORTED

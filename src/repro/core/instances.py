@@ -12,6 +12,7 @@ magic per the style guide's "avoid the magical wand".
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..errors import (
@@ -113,21 +114,24 @@ class PObject:
         old = self._values.get(name)
         if old == value and type(old) is type(value):
             return
-        bus = self.schema.events
-        bus.publish(
-            Event(
-                kind=EventKind.BEFORE_UPDATE,
-                target=self,
-                class_name=self.pclass.name,
-                attribute=name,
-                old_value=old,
-                new_value=value,
+        schema = self.schema
+        bus = schema.events
+        # A veto (an immediate constraint, a B-tree refusing the key)
+        # undoes the assignment and whatever it set off.
+        with schema.journal:
+            bus.publish(
+                Event(
+                    kind=EventKind.BEFORE_UPDATE,
+                    target=self,
+                    class_name=self.pclass.name,
+                    attribute=name,
+                    old_value=old,
+                    new_value=value,
+                )
             )
-        )
-        self._values[name] = value
-        self._mark_dirty()
-        self.schema._journal_update(self, name, old)
-        try:
+            self._values[name] = value
+            self._mark_dirty()
+            schema._record_undo(partial(self._restore, name, old), self)
             bus.publish(
                 Event(
                     kind=EventKind.AFTER_UPDATE,
@@ -138,11 +142,10 @@ class PObject:
                     new_value=value,
                 )
             )
-        except Exception:
-            # An after-update veto (immediate constraint) rolls the single
-            # assignment back before propagating.
+
+    def _restore(self, name: str, old: Any) -> None:
+        if not self._deleted:
             self._values[name] = old
-            raise
 
     def update(self, **values: Any) -> "PObject":
         """Assign several attributes; returns self for chaining."""

@@ -28,6 +28,7 @@ else.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import (
@@ -62,22 +63,47 @@ Flushed = tuple[
 ]
 
 
-class _Journal:
-    """Undo log for in-memory rollback between commits."""
+class Journal:
+    """Undo log: the one way in-memory state rolls back.
+
+    ``abort()`` and a refused managed commit undo every entry, newest
+    first.  ``with journal:`` makes a block one mutation: if it raises,
+    the entries it recorded are undone before the exception propagates
+    (a vetoed create, relate, set, delete or unrelate).  A *finalizer*
+    runs after a rollback past it has undone everything else.
+    """
 
     def __init__(self) -> None:
         self._entries: list[Callable[[], None]] = []
+        self._finalizers: list[Callable[[], None]] = []
+        self._marks: list[int] = []
 
     def record(self, undo: Callable[[], None]) -> None:
         self._entries.append(undo)
 
+    def record_finalizer(self, run: Callable[[], None]) -> None:
+        """``run`` goes last in any rollback that passes this point."""
+        self._entries.append(lambda: self._finalizers.append(run))
+
     def clear(self) -> None:
         self._entries.clear()
 
-    def rollback(self) -> None:
-        for undo in reversed(self._entries):
-            undo()
-        self._entries.clear()
+    def rollback(self, mark: int = 0) -> None:
+        """Undo every entry past ``mark``, then run the finalizers."""
+        entries = self._entries
+        while len(entries) > mark:
+            entries.pop()()
+        finalizers, self._finalizers = self._finalizers, []
+        for run in reversed(finalizers):
+            run()
+
+    def __enter__(self) -> None:
+        self._marks.append(len(self._entries))
+
+    def __exit__(self, failed: type[BaseException] | None, *_: object) -> None:
+        mark = self._marks.pop()
+        if failed is not None:
+            self.rollback(mark)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -91,29 +117,15 @@ class TxnScope:
     journal, so a failed managed commit rolls back exactly the ops it
     replayed — the implicit session's own pending changes survive.
     ``touched`` is also what the transaction manager flushes and
-    version-stamps after a successful replay.
+    version-stamps after a successful replay.  A rolled-back update
+    leaves its object dirty: one redundant write later, never corruption.
     """
 
-    def __init__(self, schema: "Schema") -> None:
-        self._schema = schema
-        self.journal = _Journal()
+    def __init__(self) -> None:
+        self.journal = Journal()
         #: Every object the replay created, updated, deleted, related or
         #: unrelated (including cascade-deleted dependents), by OID.
         self.touched: dict[int, PObject] = {}
-
-    def note(self, obj: PObject) -> None:
-        self.touched.setdefault(obj.oid, obj)
-
-    def rollback(self) -> None:
-        """Undo the scope's ops (idempotent: the journal self-clears).
-
-        Undo closures restore object table, extents, relationship
-        indexes and pending-delete bookkeeping.  An attribute-update
-        undo leaves its object in the dirty set; that costs at most one
-        redundant (value-identical) write at a later commit, never
-        corruption.
-        """
-        self.journal.rollback()
 
 
 class ObjectTable:
@@ -354,7 +366,7 @@ class Schema(ObjectTable):
         self.version = 0
         self._dirty: dict[int, PObject] = {}
         self._pending_deletes: dict[int, PObject] = {}
-        self._journal = _Journal()
+        self._journal = Journal()
         self._scope: TxnScope | None = None
         #: The engine's implicit-session commit (commit lock, version
         #: stamps, version chains); set by its transaction manager.
@@ -470,16 +482,17 @@ class Schema(ObjectTable):
             )
         oid = self._new_oid() if _oid is None else _oid
         obj = PObject(oid, pclass, self, pclass.defaults())
-        self.events.publish(
-            Event(
-                kind=EventKind.BEFORE_CREATE,
-                target=obj,
-                class_name=class_name,
-                payload={"attrs": attrs},
+        with self.journal:
+            self.events.publish(
+                Event(
+                    kind=EventKind.BEFORE_CREATE,
+                    target=obj,
+                    class_name=class_name,
+                    payload={"attrs": attrs},
+                )
             )
-        )
-        self.adopt(obj)
-        try:
+            self.adopt(obj)
+            self._record_undo(partial(self._uninstall, obj), obj)
             for name, value in attrs.items():
                 obj.set(name, value)
             # Required attributes without defaults must now hold a value.
@@ -495,10 +508,6 @@ class Schema(ObjectTable):
                     class_name=class_name,
                 )
             )
-        except Exception:
-            self._uninstall(obj)
-            raise
-        self._record_undo(lambda: self._uninstall(obj), obj)
         return obj
 
     def adopt(self, obj: PObject) -> None:
@@ -545,36 +554,37 @@ class Schema(ObjectTable):
         if isinstance(obj, RelationshipInstance):
             self.unrelate(obj)
             return
-        self.events.publish(
-            Event(
-                kind=EventKind.BEFORE_DELETE,
-                target=obj,
-                class_name=obj.pclass.name,
+        with self.journal:
+            self.events.publish(
+                Event(
+                    kind=EventKind.BEFORE_DELETE,
+                    target=obj,
+                    class_name=obj.pclass.name,
+                )
             )
-        )
-        dependents: list[PObject] = []
-        for rel in self.relationships.outgoing(obj.oid):
-            if rel.relationship_class.semantics.lifetime_dependent:
-                if not cascade:
-                    raise SchemaError(
-                        f"object {obj.oid} has lifetime-dependent parts; "
-                        "delete with cascade=True"
-                    )
-                dependents.append(rel.destination_object())
-        for rel in self.relationships.touching(obj.oid):
-            self.unrelate(rel, _force=True)
-        self._remove_object(obj)
-        for part in dependents:
-            # A shared part could have been reached twice; skip dead ones.
-            if not part.deleted:
-                self.delete(part, cascade=True)
-        self.events.publish(
-            Event(
-                kind=EventKind.AFTER_DELETE,
-                target=obj,
-                class_name=obj.pclass.name,
+            dependents: list[PObject] = []
+            for rel in self.relationships.outgoing(obj.oid):
+                if rel.relationship_class.semantics.lifetime_dependent:
+                    if not cascade:
+                        raise SchemaError(
+                            f"object {obj.oid} has lifetime-dependent parts; "
+                            "delete with cascade=True"
+                        )
+                    dependents.append(rel.destination_object())
+            for rel in self.relationships.touching(obj.oid):
+                self.unrelate(rel, _force=True)
+            self._remove_object(obj)
+            for part in dependents:
+                # A shared part could have been reached twice; skip dead ones.
+                if not part.deleted:
+                    self.delete(part, cascade=True)
+            self.events.publish(
+                Event(
+                    kind=EventKind.AFTER_DELETE,
+                    target=obj,
+                    class_name=obj.pclass.name,
+                )
             )
-        )
 
     def _delete_needs_tracking(self, oid: int) -> bool:
         """Whether a deletion must survive until the next commit.
@@ -631,29 +641,30 @@ class Schema(ObjectTable):
         self.relationships.check_creation(
             relclass, origin, destination, participants
         )
-        self.events.publish(
-            Event(
-                kind=EventKind.BEFORE_RELATE,
-                class_name=relationship,
-                origin=origin,
-                destination=destination,
-                payload={"attrs": attrs},
+        with self.journal:
+            self.events.publish(
+                Event(
+                    kind=EventKind.BEFORE_RELATE,
+                    class_name=relationship,
+                    origin=origin,
+                    destination=destination,
+                    payload={"attrs": attrs},
+                )
             )
-        )
-        oid = self._new_oid() if _oid is None else _oid
-        rel = RelationshipInstance(
-            oid,
-            relclass,
-            self,
-            relclass.defaults(),
-            origin_oid=origin.oid,
-            destination_oid=destination.oid,
-            participant_oids={
-                role: obj.oid for role, obj in (participants or {}).items()
-            },
-        )
-        self.adopt(rel)
-        try:
+            oid = self._new_oid() if _oid is None else _oid
+            rel = RelationshipInstance(
+                oid,
+                relclass,
+                self,
+                relclass.defaults(),
+                origin_oid=origin.oid,
+                destination_oid=destination.oid,
+                participant_oids={
+                    role: obj.oid for role, obj in (participants or {}).items()
+                },
+            )
+            self.adopt(rel)
+            self._record_undo(partial(self._uninstall, rel), rel)
             # Constant relationship classes still allow initial attributes.
             for name, value in attrs.items():
                 PObject.set(rel, name, value)
@@ -666,10 +677,6 @@ class Schema(ObjectTable):
                     destination=destination,
                 )
             )
-        except Exception:
-            self._uninstall(rel)
-            raise
-        self._record_undo(lambda: self._uninstall(rel), rel)
         return rel
 
     def unrelate(self, rel: RelationshipInstance, _force: bool = False) -> None:
@@ -683,23 +690,24 @@ class Schema(ObjectTable):
             return
         if not _force:
             self.relationships.check_removal(rel)
-        self.events.publish(
-            Event(
-                kind=EventKind.BEFORE_UNRELATE,
-                target=rel,
-                class_name=rel.pclass.name,
-                origin=self._objects.get(rel.origin_oid),
-                destination=self._objects.get(rel.destination_oid),
+        with self.journal:
+            self.events.publish(
+                Event(
+                    kind=EventKind.BEFORE_UNRELATE,
+                    target=rel,
+                    class_name=rel.pclass.name,
+                    origin=self._objects.get(rel.origin_oid),
+                    destination=self._objects.get(rel.destination_oid),
+                )
             )
-        )
-        self._remove_object(rel)
-        self.events.publish(
-            Event(
-                kind=EventKind.AFTER_UNRELATE,
-                target=rel,
-                class_name=rel.pclass.name,
+            self._remove_object(rel)
+            self.events.publish(
+                Event(
+                    kind=EventKind.AFTER_UNRELATE,
+                    target=rel,
+                    class_name=rel.pclass.name,
+                )
             )
-        )
 
     # ------------------------------------------------------------------
     # dirtiness / transactions
@@ -708,15 +716,18 @@ class Schema(ObjectTable):
     def _note_dirty(self, obj: PObject) -> None:
         self._dirty[obj.oid] = obj
 
-    def _record_undo(self, undo: Callable[[], None], obj: PObject) -> None:
-        """Journal one undo step into the active scope (or the implicit
-        session's journal when no managed transaction is replaying)."""
+    @property
+    def journal(self) -> Journal:
+        """The active undo journal (the replaying managed transaction's
+        scope, else the implicit session's); the index manager's too."""
         scope = self._scope
-        if scope is None:
-            self._journal.record(undo)
-        else:
-            scope.note(obj)
-            scope.journal.record(undo)
+        return self._journal if scope is None else scope.journal
+
+    def _record_undo(self, undo: Callable[[], None], obj: PObject) -> None:
+        """Journal one undo step for ``obj`` into the active journal."""
+        if self._scope is not None:
+            self._scope.touched.setdefault(obj.oid, obj)
+        self.journal.record(undo)
 
     # -- managed-transaction scopes (repro.concurrency) ------------------
 
@@ -729,7 +740,7 @@ class Schema(ObjectTable):
         """
         if self._scope is not None:
             raise TransactionError("a transaction scope is already active")
-        self._scope = TxnScope(self)
+        self._scope = TxnScope()
         return self._scope
 
     def end_txn_scope(self) -> None:
@@ -738,13 +749,6 @@ class Schema(ObjectTable):
     @property
     def in_txn_scope(self) -> bool:
         return self._scope is not None
-
-    def _journal_update(self, obj: PObject, attr: str, old: Any) -> None:
-        def undo() -> None:
-            if not obj.deleted:
-                obj._values[attr] = old
-
-        self._record_undo(undo, obj)
 
     @property
     def dirty_count(self) -> int:
@@ -845,11 +849,9 @@ class Schema(ObjectTable):
         deferred rule vetoes the committing transaction); the implicit
         session's own pending changes are untouched.
         """
-        scope = self._scope
-        if scope is not None:
-            scope.rollback()
+        self.journal.rollback()
+        if self._scope is not None:
             return
-        self._journal.rollback()
         for obj in list(self._dirty.values()):
             obj._mark_clean()
         self._dirty.clear()

@@ -151,9 +151,7 @@ def load_dump(
                 raise SchemaError(f"class {pclass.name!r} is abstract")
             new = PObject(schema._new_oid(), pclass, schema, pclass.defaults())
             schema.adopt(new)
-            schema._journal.record(
-                lambda obj=new: schema._uninstall(obj)
-            )
+            schema.journal.record(lambda obj=new: schema._uninstall(obj))
             oid_map[int(entry["oid"])] = new.oid
         # Second pass: attribute values (references now remappable).
         for entry in document["objects"]:

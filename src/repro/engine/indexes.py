@@ -3,7 +3,9 @@
 Attribute indexes are maintained *through the event layer*: the
 :class:`IndexManager` subscribes to create/update/delete events and keeps
 every declared index current — the object layer never knows indexes
-exist.  Two kinds:
+exist.  Every entry it adds or drops journals its exact inverse
+(:attr:`Schema.journal`), so entries roll back with the objects.
+Two kinds:
 
 * **hash** — exact-match probes (``epithet = "Apium"``);
 * **btree** — exact probes plus ordered range scans (``year < 1820``).
@@ -17,16 +19,14 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Iterator
+from functools import partial
+from typing import Any, Iterable, Iterator
 
 from ..core.events import Event, EventKind
 from ..core.instances import PObject
 from ..core.schema import Schema
 from ..errors import SchemaError
 from .btree import BTree
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class IndexKind(enum.Enum):
@@ -38,15 +38,23 @@ class _HashIndex:
     def __init__(self) -> None:
         self._data: dict[Any, set[int]] = defaultdict(set)
 
-    def insert(self, key: Any, oid: int) -> None:
-        self._data[_hashable(key)].add(oid)
+    def insert(self, key: Any, oid: int) -> bool:
+        """Add one entry; True if it was not there yet."""
+        bucket = self._data[_hashable(key)]
+        size = len(bucket)
+        bucket.add(oid)
+        return len(bucket) != size
 
-    def remove(self, key: Any, oid: int) -> None:
-        bucket = self._data.get(_hashable(key))
-        if bucket is not None:
-            bucket.discard(oid)
-            if not bucket:
-                del self._data[_hashable(key)]
+    def remove(self, key: Any, oid: int) -> bool:
+        """Drop one entry; True if it was present."""
+        hkey = _hashable(key)
+        bucket = self._data.get(hkey)
+        if bucket is None or oid not in bucket:
+            return False
+        bucket.discard(oid)
+        if not bucket:
+            del self._data[hkey]
+        return True
 
     def get(self, key: Any) -> frozenset[int]:
         return frozenset(self._data.get(_hashable(key), ()))
@@ -70,20 +78,24 @@ class _BTreeIndex:
         # sort via index order when exactly one category is present.
         self._categories: dict[str, int] = {}
 
-    def insert(self, key: Any, oid: int) -> None:
+    def insert(self, key: Any, oid: int) -> bool:
+        """Add one entry; True if it was not there yet."""
         if key is None:
+            size = len(self._nulls)
             self._nulls.add(oid)
-        else:
-            before = len(self._tree)
-            try:
-                self._tree.insert(key, oid)
-            except TypeError:
-                # The tree is unchanged: a failed comparison inserts
-                # nothing (splits on the way down keep it valid).
-                raise self._unorderable(key) from None
-            if len(self._tree) != before:
-                cat = _category(key)
-                self._categories[cat] = self._categories.get(cat, 0) + 1
+            return len(self._nulls) != size
+        before = len(self._tree)
+        try:
+            self._tree.insert(key, oid)
+        except TypeError:
+            # The tree is unchanged: a failed comparison inserts
+            # nothing (splits on the way down keep it valid).
+            raise self._unorderable(key) from None
+        if len(self._tree) == before:
+            return False
+        cat = _category(key)
+        self._categories[cat] = self._categories.get(cat, 0) + 1
+        return True
 
     def _unorderable(self, key: Any) -> SchemaError:
         clash = next(
@@ -149,14 +161,22 @@ class Index:
         self.class_name = class_name
         self.attribute = attribute
         self.kind = kind
-        self.impl: _HashIndex | _BTreeIndex = (
-            _HashIndex() if kind is IndexKind.HASH else _BTreeIndex(self.name)
-        )
+        self.impl: _HashIndex | _BTreeIndex
+        self.fill(())
         self.probes = 0
 
     @property
     def name(self) -> str:
         return f"{self.class_name}.{self.attribute}[{self.kind.value}]"
+
+    def fill(self, objects: Iterable[PObject]) -> None:
+        """Replace every entry with one per object in ``objects``."""
+        hashed = self.kind is IndexKind.HASH
+        impl: _HashIndex | _BTreeIndex
+        impl = _HashIndex() if hashed else _BTreeIndex(self.name)
+        for obj in objects:
+            impl.insert(obj.get(self.attribute), obj.oid)
+        self.impl = impl
 
     def __len__(self) -> int:
         return len(self.impl)
@@ -171,7 +191,7 @@ class IndexManager:
         #: so cached plans never outlive the access paths they chose.
         self.epoch = 0
         self._indexes: dict[tuple[str, str], Index] = {}
-        self._unsubscribe = schema.events.subscribe(
+        schema.events.subscribe(
             self._on_event,
             kinds={
                 EventKind.AFTER_CREATE,
@@ -179,12 +199,8 @@ class IndexManager:
                 EventKind.BEFORE_DELETE,
                 EventKind.AFTER_RELATE,
                 EventKind.BEFORE_UNRELATE,
-                EventKind.AFTER_ABORT,
             },
         )
-
-    def detach(self) -> None:
-        self._unsubscribe()
 
     # -- declaration ---------------------------------------------------------
 
@@ -195,6 +211,8 @@ class IndexManager:
 
         A B-tree over values that do not order together (an int beside
         a str) is refused with :class:`SchemaError`; nothing registers.
+        Built over uncommitted changes (which journalled no entry moves
+        for it), the index refills from the restored extent on rollback.
         """
         resolved = IndexKind(kind) if isinstance(kind, str) else kind
         pclass = self.schema.get_class(class_name)
@@ -206,10 +224,14 @@ class IndexManager:
         if key in self._indexes:
             raise SchemaError(f"index on {class_name}.{attribute} exists")
         index = Index(class_name, attribute, resolved)
-        for obj in self.schema.extent(class_name):
-            index.impl.insert(obj.get(attribute), obj.oid)
+        index.fill(self.schema.extent(class_name))
         self._indexes[key] = index
         self.epoch += 1
+        journal = self.schema.journal
+        if len(journal):
+            journal.record_finalizer(
+                lambda: index.fill(self.schema.extent(class_name))
+            )
         return index
 
     def drop_index(self, class_name: str, attribute: str) -> None:
@@ -233,41 +255,36 @@ class IndexManager:
         for index in self._indexes.values():
             if attribute is not None and index.attribute != attribute:
                 continue
-            if not self.schema.has_class(index.class_name):
-                continue
             if klass.is_subclass_of(self.schema.get_class(index.class_name)):
                 out.append(index)
         return out
 
     def _on_event(self, event: Event) -> None:
-        if event.kind is EventKind.AFTER_ABORT:
-            # Rollback restored the object layer behind our back: entry
-            # maintenance ran for the doomed mutations (insert on
-            # create, move on update) with no compensating events, so
-            # the only safe recovery is a rebuild from live state.
-            self._rebuild_all()
-            return
         target = event.target
         if target is None or not event.class_name:
             return
+        oid = target.oid
+        # Only a B-tree refuses a key: that vetoes the assignment, whose
+        # rollback replays the removal's inverse journalled just before.
+        record = self.schema.journal.record
         if event.kind is EventKind.AFTER_UPDATE:
+            old, new = event.old_value, event.new_value
             for index in self._covering(event.class_name, event.attribute):
-                present = index.impl.remove(event.old_value, target.oid)
-                try:
-                    index.impl.insert(event.new_value, target.oid)
-                except SchemaError:
-                    # Only a B-tree refuses a key.  The refusal vetoes the
-                    # assignment, which the object layer rolls back:
-                    # restore the entry it had.
-                    if present:
-                        index.impl.insert(event.old_value, target.oid)
-                    raise
+                impl = index.impl
+                if impl.remove(old, oid):
+                    record(partial(impl.insert, old, oid))
+                if impl.insert(new, oid):
+                    record(partial(impl.remove, new, oid))
         elif event.kind in (EventKind.AFTER_CREATE, EventKind.AFTER_RELATE):
             for index in self._covering(event.class_name, None):
-                index.impl.insert(target.get(index.attribute), target.oid)
+                key = target.get(index.attribute)
+                if index.impl.insert(key, oid):
+                    record(partial(index.impl.remove, key, oid))
         elif event.kind in (EventKind.BEFORE_DELETE, EventKind.BEFORE_UNRELATE):
             for index in self._covering(event.class_name, None):
-                index.impl.remove(target.get(index.attribute), target.oid)
+                key = target.get(index.attribute)
+                if index.impl.remove(key, oid):
+                    record(partial(index.impl.insert, key, oid))
 
     def note_installed(self, obj: PObject) -> None:
         """Index maintenance for a low-level install that bypasses the
@@ -280,19 +297,6 @@ class IndexManager:
         attribute values are still readable."""
         for index in self._covering(obj.pclass.name, None):
             index.impl.remove(obj.get(index.attribute), obj.oid)
-
-    def _rebuild_all(self) -> None:
-        """Re-derive every index from the (post-rollback) extents."""
-        for index in self._indexes.values():
-            impl: _HashIndex | _BTreeIndex = (
-                _HashIndex()
-                if index.kind is IndexKind.HASH
-                else _BTreeIndex(index.name)
-            )
-            if self.schema.has_class(index.class_name):
-                for obj in self.schema.extent(index.class_name):
-                    impl.insert(obj.get(index.attribute), obj.oid)
-            index.impl = impl
 
     # -- probing -------------------------------------------------------------------
 
@@ -319,17 +323,17 @@ class IndexManager:
         include_low: bool = True,
         include_high: bool = True,
     ) -> list[PObject]:
-        """Ordered range scan (B-tree indexes only)."""
-        index = self._indexes.get((class_name, attribute))
-        if index is None or not isinstance(index.impl, _BTreeIndex):
+        """Ordered range scan: :meth:`range_probe`, refused where that
+        answers None."""
+        found = self.range_probe(
+            class_name, attribute, low, high, include_low, include_high
+        )
+        if found is None:
             raise SchemaError(
-                f"no btree index on {class_name}.{attribute}"
+                f"no btree index on {class_name}.{attribute} answers "
+                "this range"
             )
-        index.probes += 1
-        oids: set[int] = set()
-        for _, bucket in index.impl.range(low, high, include_low, include_high):
-            oids |= bucket
-        return self._load(oids)
+        return found
 
     def range_probe(
         self,
@@ -340,14 +344,12 @@ class IndexManager:
         include_low: bool = True,
         include_high: bool = True,
     ) -> list[PObject] | None:
-        """None-safe range probe for the planner.
-
-        Unlike :meth:`range` this returns None (rather than raising)
-        when no B-tree index covers the probe, so the planner's runtime
-        fallback is a plain extent scan.  ``None``-valued entries live
-        in the B-tree's side set, never in the key order, so rows whose
-        indexed attribute is null are correctly absent from every range
-        result (three-valued comparison semantics).
+        """Range probe for the planner; None when no B-tree index
+        covers it, so the runtime fallback is an extent scan.
+        ``None``-valued entries live in the B-tree's side set, never in
+        the key order, so rows whose indexed attribute is null are
+        correctly absent from every range result (three-valued
+        comparison semantics).
         """
         index = self._indexes.get((class_name, attribute))
         if index is None or not isinstance(index.impl, _BTreeIndex):
@@ -395,11 +397,7 @@ class IndexManager:
             groups.insert(0, index.impl.nulls)
         out: list[PObject] = []
         for bucket in groups:
-            out.extend(
-                self.schema.get_object(oid)
-                for oid in sorted(bucket)
-                if self.schema.has_object(oid)
-            )
+            out.extend(self._load(bucket))
         return out
 
     def lookup(self, class_name: str, attribute: str) -> dict[str, Any] | None:

@@ -17,14 +17,11 @@ queries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
-from ..core.schema import ObjectTable, Schema
+from ..core.schema import Journal, ObjectTable, Schema
 from ..core.types import RefType
 from ..errors import SchemaError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.instances import PObject
 
 
 def record_values(schema: Any, record: dict[str, Any]) -> dict[str, Any]:
@@ -73,13 +70,9 @@ class SnapshotSchema(ObjectTable):
 
     # -- read-only guards ----------------------------------------------------
 
-    def _note_dirty(self, obj: "PObject") -> None:
-        raise SchemaError(
-            f"snapshot view {self.name} is read-only; "
-            "mutate through the live schema"
-        )
-
-    def _journal_update(self, obj: "PObject", attr: str, old: Any) -> None:
+    @property
+    def journal(self) -> Journal:
+        """Every assignment reads the journal first: refuse it here."""
         raise SchemaError(
             f"snapshot view {self.name} is read-only; "
             "mutate through the live schema"

@@ -364,9 +364,7 @@ class Evaluator:
             )
         if isinstance(expr, Unary):
             value = self._eval_grouped(expr.operand, rows)
-            if expr.op == "not":
-                return not _truthy(value)
-            return None if value is None else -value
+            return not _truthy(value) if expr.op == "not" else _negate(value)
         return self._eval(expr, rows[0])
 
     def _aggregate_projection(self, query: SelectQuery) -> FunctionCall | None:
@@ -568,11 +566,7 @@ class Evaluator:
             return self._downcast(node.class_name, self._eval(node.target, env))
         if kind is Unary:
             value = self._eval(node.operand, env)
-            if node.op == "not":
-                return not _truthy(value)
-            if value is None:
-                return None
-            return -value
+            return not _truthy(value) if node.op == "not" else _negate(value)
         if kind is SelectQuery:
             return self._run_select(node, env)
         if kind is ExistsExpr:
@@ -810,6 +804,16 @@ class _Descending:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Descending) and self.rank == other.rank
+
+
+def _negate(value: Any) -> Any:
+    """Unary minus; a value with no negative is a typed refusal."""
+    try:
+        return None if value is None else -value
+    except TypeError:
+        raise EvaluationError(
+            f"cannot apply unary '-' to {type(value).__name__}"
+        ) from None
 
 
 def _apply_binary(op: str, left: Any, right: Any) -> Any:

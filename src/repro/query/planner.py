@@ -21,11 +21,10 @@ live query can never hit a scan-only snapshot plan.
 ``AFTER_ABORT`` on the event bus evicts the whole cache, so the first
 query after a rollback is planned afresh (EXPLAIN reports a cache miss)
 from the restored statistics.  The eviction is not needed for right
-answers: a rollback rebuilds index *contents* in place
-(``IndexManager._rebuild_all`` swaps each index's implementation) but
-never adds or drops an index, and a plan probes its indexes by
-``(class, attribute)`` when it runs, so a plan cached before the abort
-reads the rebuilt index (``tests/query/test_plan_cache_abort.py``).
+answers: a rollback undoes index *entries* through the schema's undo
+journal but never adds or drops an index, and a plan probes its indexes
+by ``(class, attribute)`` when it runs, so a plan cached before the
+abort reads the restored index (``tests/query/test_plan_cache_abort.py``).
 
 Plan choice never affects results, only speed: index probes seed
 candidate sets but the full WHERE clause is still applied, and the
@@ -176,8 +175,8 @@ class Planner:
     def attach(self, bus: Any) -> None:
         """Subscribe to the event bus: a rollback evicts every cached plan.
 
-        Not for correctness — a cached plan reads the rebuilt indexes —
-        but so that a post-rollback query is planned from the restored
+        Not for correctness — a cached plan reads the restored indexes
+        — but so that a post-rollback query is planned from the restored
         statistics and EXPLAIN reports that fresh plan, as
         ``tests/query/test_explain_txn.py`` pins.
         """

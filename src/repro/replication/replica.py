@@ -258,7 +258,8 @@ class ReplicaApplier:
         self.db.release_snapshots()
         with self.lock.write():
             schema.clear()
-            self.db.indexes._rebuild_all()
+            for index in self.db.indexes.indexes():
+                index.fill(())
             store.reset_for_resync()
             self.db.mvcc.reset(store.commit_lsn)
         self.resyncs += 1

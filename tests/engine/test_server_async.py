@@ -258,6 +258,54 @@ class TestSlowLoris:
                 assert result is not None and result[0] == 408
 
 
+class TestLoopThreadDiscipline:
+    """Deterministic twin of the stall soak below: it checks where
+    handler work runs, not how long the loop waited."""
+
+    def test_misses_run_on_the_pool_and_hits_never_reach_handle(
+        self, served, monkeypatch
+    ):
+        handlers = served.handlers
+        seen: dict[str, list[threading.Thread]] = {"probe": [], "handle": []}
+
+        def recorded(name, method):
+            def call(request):
+                seen[name].append(threading.current_thread())
+                return method(request)
+
+            return call
+
+        for name, attr in (("probe", "serve_cached"), ("handle", "handle")):
+            monkeypatch.setattr(
+                handlers, attr, recorded(name, getattr(handlers, attr))
+            )
+        # A query text no other test sends, so the first one misses.
+        query = json.dumps(
+            {"query": "select s from s in Specimen where s.oid > -7"}
+        ).encode()
+        conn = http.client.HTTPConnection(*served.address, timeout=10)
+        try:
+            for method, path, body in (
+                ("POST", "/query", query),  # miss: a pool worker
+                ("POST", "/query", query),  # hit: answered on the loop
+                ("GET", "/schema", None),  # uncacheable: a pool worker
+            ):
+                conn.request(method, path, body)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert len(seen["probe"]) == 3
+        loop_thread = seen["probe"][0]
+        assert set(seen["probe"]) == {loop_thread}
+        # The hit never reached handle: one call per miss, none on the loop.
+        assert len(seen["handle"]) == 2
+        for thread in seen["handle"]:
+            assert thread is not loop_thread
+            assert thread.name.startswith("prometheus-worker")
+
+
 class TestLoopStallBound:
     def test_no_event_loop_stall_over_50ms_under_soak(self, served):
         """Regression for blocking-work-on-the-accept-path: hammer the

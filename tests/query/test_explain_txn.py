@@ -1,9 +1,8 @@
 """EXPLAIN/PROFILE and the plan cache under transactions.
 
-Companion to the PR 3 index-rebuild fix: an abort republishes
-``AFTER_ABORT``, which rebuilds every index from the restored extents
-*and* must now also evict every cached plan, so post-rollback EXPLAIN
-reports both a fresh plan (cache miss) and correct rows.
+An abort undoes index entries through the undo journal and publishes
+``AFTER_ABORT``, which evicts every cached plan, so post-rollback
+EXPLAIN reports both a fresh plan (cache miss) and correct rows.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class TestImplicitTransactionVisibility:
         db.schema.create("Taxon", name="doomed", rank="genus")
         assert db.query(QUERY)["rows"] == 6
         db.abort()
-        # AFTER_ABORT: indexes rebuilt AND plan cache emptied.
+        # Index entries undone AND (AFTER_ABORT) plan cache emptied.
         assert db.planner.snapshot()["cache_size"] == 0
         report = db.query(QUERY)
         assert report["plan"]["cache"] == "miss"

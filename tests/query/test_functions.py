@@ -6,6 +6,7 @@ from repro.errors import EvaluationError
 from repro.query.functions import (
     FUNCTIONS,
     call_value_method,
+    fn_abs,
     fn_avg,
     fn_count,
     fn_distinct,
@@ -46,6 +47,22 @@ class TestAggregates:
         assert fn_exists([0])
         assert not fn_exists([])
         assert not fn_exists(None)
+
+
+class TestAbs:
+    def test_numbers(self):
+        assert fn_abs(-3) == 3
+        assert type(fn_abs(-3)) is int
+        assert fn_abs(-2.5) == 2.5
+        assert fn_abs(4) == 4
+
+    def test_null_is_null(self):
+        assert fn_abs(None) is None
+
+    @pytest.mark.parametrize("value", ["-3", True, False])
+    def test_non_numbers_are_refused(self, value):
+        with pytest.raises(EvaluationError, match="abs"):
+            fn_abs(value)
 
 
 class TestCollectionHelpers:

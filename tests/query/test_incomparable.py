@@ -76,3 +76,23 @@ def test_http_query_answers_400_not_500():
     response = HttpHandlers(db).handle(Request("POST", "/query", {}, body))
     assert response.status == 400
     assert "cannot apply '>' to int and str" in json.loads(response.body)["error"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "select -$p from i in Item",
+        "select i.name, -$p from i in Item group by i.name",
+    ],
+)
+def test_unary_minus_without_a_negative_is_refused(text):
+    """``-"x"`` is the same typed refusal, per row and per group."""
+    db = build(btree=True)
+    with pytest.raises(EvaluationError, match="unary '-' to str"):
+        db.query(text, params={"p": "x"})
+    with pytest.raises(EvaluationError, match="unary '-' to str"):
+        execute(db.schema, text, params={"p": "x"})
+    body = json.dumps({"query": text, "params": {"p": "x"}}).encode()
+    response = HttpHandlers(db).handle(Request("POST", "/query", {}, body))
+    assert response.status == 400
+    assert "unary '-' to str" in json.loads(response.body)["error"]

@@ -1,11 +1,12 @@
 """A plan cached before a rollback still answers right after it.
 
-An abort rebuilds every index's contents in place but never adds or
-drops one, and plans probe their indexes by ``(class, attribute)`` when
-they run.  So the database's ``AFTER_ABORT`` plan eviction is for
-EXPLAIN (a fresh plan from restored statistics), not for answers: a
-planner that is *not* attached to the event bus keeps its plans across
-the abort, and they must agree with the naive evaluator.
+An abort undoes index entries through the undo journal but never adds
+or drops an index, and plans probe their indexes by ``(class,
+attribute)`` when they run.  So the database's ``AFTER_ABORT`` plan
+eviction is for EXPLAIN (a fresh plan from restored statistics), not
+for answers: a planner that is *not* attached to the event bus keeps
+its plans across the abort, and they must agree with the naive
+evaluator.
 """
 
 from __future__ import annotations

@@ -226,16 +226,20 @@ class TestFanoutFailures:
         assert err.value.kinds == ["__infra__"]
 
     def test_incomparable_values_are_refused_without_tripping_breakers(self):
-        """An int attribute compared with a string is a per-shard
-        EvaluationError — an answer, so no breaker moves and a healthy
-        query still runs after more bad ones than the threshold."""
+        """An int attribute compared with a string, or a string
+        negated, is a per-shard EvaluationError — an answer, so no
+        breaker moves and a healthy query still runs after more bad ones
+        than the threshold."""
         db = build_topology(4)
         populate(db, 53)
-        bad = "select a from a in Base where a.size > $p"
-        for _ in range(db.federation.breaker_threshold + 1):
-            with pytest.raises(ShardExecutionError) as err:
-                db.query(bad, params={"p": "x"})
-            assert err.value.kinds == ["EvaluationError"]
+        for bad in (
+            "select a from a in Base where a.size > $p",
+            "select a from a in Base where a.size > -$p",
+        ):
+            for _ in range(db.federation.breaker_threshold + 1):
+                with pytest.raises(ShardExecutionError) as err:
+                    db.query(bad, params={"p": "x"})
+                assert err.value.kinds == ["EvaluationError"]
         for name in sorted(db.shards):
             breaker = db.federation.breaker(name)
             assert breaker.state == "closed"
