@@ -16,12 +16,20 @@ Membership is owned by the :class:`ClassificationManager`, which persists
 it in the schema's metadata record, so classifications survive reopening
 the database.  The stored payload is built when a commit assembles that
 record (``Schema.meta_sources``), not on every edge edit.
+
+Membership is in-memory state like any object's, so it rolls back the
+same way: every attach and detach journals its inverse
+(:attr:`Schema.journal`), and an unrelated edge leaves every
+classification holding it through the same journal — an aborted
+``place`` or ``unrelate`` leaves membership and adjacency as they were.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Iterator, KeysView
 
+from ..core.events import Event, EventKind
 from ..core.instances import PObject
 from ..core.relationships import RelationshipInstance
 from ..errors import ClassificationError
@@ -57,10 +65,13 @@ class Classification:
         self.year = year
         self.publication = publication
         self.description = description
-        self._edge_oids: set[int] = set()
-        # Adjacency caches: parent oid -> child oids and inverse.
-        self._children: dict[int, set[int]] = {}
-        self._parents: dict[int, set[int]] = {}
+        #: Member edge OID -> (origin OID, destination OID).
+        self._edges: dict[int, tuple[int, int]] = {}
+        # Adjacency: parent oid -> {child oid: member edges between them},
+        # and the inverse; counted, so a second edge between the same
+        # pair keeps the pair adjacent when the first one leaves.
+        self._children: dict[int, dict[int, int]] = {}
+        self._parents: dict[int, dict[int, int]] = {}
 
     # -- membership ------------------------------------------------------
 
@@ -68,12 +79,17 @@ class Classification:
     def schema(self) -> "Schema":
         return self._manager.schema
 
+    @property
+    def _edge_oids(self) -> KeysView[int]:
+        """Member edge OIDs, set-like (``in``, ``&``)."""
+        return self._edges.keys()
+
     def __len__(self) -> int:
-        return len(self._edge_oids)
+        return len(self._edges)
 
     def __contains__(self, edge: RelationshipInstance | int) -> bool:
         oid = edge.oid if isinstance(edge, RelationshipInstance) else edge
-        return oid in self._edge_oids
+        return oid in self._edges
 
     def add_edge(self, edge: RelationshipInstance) -> None:
         """Attach an existing relationship instance to this classification.
@@ -81,7 +97,7 @@ class Classification:
         Raises:
             ClassificationError: if the edge would create a cycle.
         """
-        if edge.oid in self._edge_oids:
+        if edge.oid in self._edges:
             return
         if edge.deleted:
             raise ClassificationError(
@@ -92,21 +108,29 @@ class Classification:
                 f"classification {self.name!r}: edge "
                 f"{edge.origin_oid}->{edge.destination_oid} creates a cycle"
             )
-        self._edge_oids.add(edge.oid)
-        self._children.setdefault(edge.origin_oid, set()).add(
-            edge.destination_oid
-        )
-        self._parents.setdefault(edge.destination_oid, set()).add(
-            edge.origin_oid
-        )
+        self.schema.journal.record(partial(self._detach, edge.oid))
+        self._attach(edge.oid, edge.origin_oid, edge.destination_oid)
 
     def remove_edge(self, edge: RelationshipInstance | int) -> None:
         """Detach an edge from this classification (the edge survives)."""
         oid = edge.oid if isinstance(edge, RelationshipInstance) else edge
-        if oid not in self._edge_oids:
+        ends = self._edges.get(oid)
+        if ends is None:
             return
-        self._edge_oids.discard(oid)
-        self._rebuild_adjacency()
+        self.schema.journal.record(partial(self._attach, oid, *ends))
+        self._detach(oid)
+
+    def _attach(self, oid: int, origin: int, destination: int) -> None:
+        self._edges[oid] = (origin, destination)
+        children = self._children.setdefault(origin, {})
+        children[destination] = children.get(destination, 0) + 1
+        parents = self._parents.setdefault(destination, {})
+        parents[origin] = parents.get(origin, 0) + 1
+
+    def _detach(self, oid: int) -> None:
+        origin, destination = self._edges.pop(oid)
+        _uncount(self._children, origin, destination)
+        _uncount(self._parents, destination, origin)
 
     def place(
         self,
@@ -130,17 +154,6 @@ class Classification:
             self.add_edge(edge)
         return edge
 
-    def _rebuild_adjacency(self) -> None:
-        self._children.clear()
-        self._parents.clear()
-        for edge in self.edges():
-            self._children.setdefault(edge.origin_oid, set()).add(
-                edge.destination_oid
-            )
-            self._parents.setdefault(edge.destination_oid, set()).add(
-                edge.origin_oid
-            )
-
     def _would_cycle(self, parent_oid: int, child_oid: int) -> bool:
         """True if adding parent→child closes a directed cycle."""
         if parent_oid == child_oid:
@@ -161,21 +174,15 @@ class Classification:
     # -- graph access ------------------------------------------------------
 
     def edges(self) -> list[RelationshipInstance]:
-        """The live edges of this classification (dead edges pruned)."""
-        result: list[RelationshipInstance] = []
-        stale: list[int] = []
-        for oid in sorted(self._edge_oids):
-            if self.schema.has_object(oid):
-                obj = self.schema.get_object(oid)
-                assert isinstance(obj, RelationshipInstance)
-                result.append(obj)
-            else:
-                stale.append(oid)
-        for oid in stale:
-            self._edge_oids.discard(oid)
-        if stale:
-            self._rebuild_adjacency()
-        return result
+        """The member edges, by OID.  A read: an edge that left the
+        object table without an unrelate (replica apply, a shard move)
+        is skipped, as :meth:`children` skips a missing node."""
+        schema = self.schema
+        return [
+            schema.get_object(oid)
+            for oid in sorted(self._edges)
+            if schema.has_object(oid)
+        ]
 
     def node_oids(self) -> set[int]:
         """OIDs of every object appearing as an endpoint."""
@@ -279,6 +286,17 @@ class Classification:
         return f"<Classification {self.name!r}: {len(self)} edges>"
 
 
+def _uncount(adjacency: dict[int, dict[int, int]], node: int, other: int) -> None:
+    """Drop one edge node→other from a counted adjacency map."""
+    counts = adjacency[node]
+    if counts[other] > 1:
+        counts[other] -= 1
+        return
+    del counts[other]
+    if not counts:
+        del adjacency[node]
+
+
 class ClassificationManager:
     """Registry of all classifications over one schema.
 
@@ -291,6 +309,9 @@ class ClassificationManager:
         self.schema = schema
         self._classifications: dict[str, Classification] = {}
         schema.meta_sources[_EXTRAS_KEY] = self.to_storable
+        schema.events.subscribe(
+            self._on_unrelate, kinds={EventKind.AFTER_UNRELATE}
+        )
         self.reload()
 
     # -- lifecycle ----------------------------------------------------------
@@ -351,6 +372,11 @@ class ClassificationManager:
         del self._classifications[name]
         self._mark_stored()
 
+    def _on_unrelate(self, event: Event) -> None:
+        """An unrelated edge leaves every classification holding it."""
+        for classification in self._classifications.values():
+            classification.remove_edge(event.target)
+
     # -- overlap queries -----------------------------------------------------
 
     def classifications_of_edge(
@@ -386,7 +412,7 @@ class ClassificationManager:
                 "year": c.year,
                 "publication": c.publication,
                 "description": c.description,
-                "edges": sorted(c._edge_oids),
+                "edges": sorted(c._edges),
             }
             for c in self
         ]
@@ -407,6 +433,7 @@ class ClassificationManager:
                 if self.schema.has_object(oid):
                     obj = self.schema.get_object(oid)
                     if isinstance(obj, RelationshipInstance):
-                        classification._edge_oids.add(oid)
-            classification._rebuild_adjacency()
+                        classification._attach(
+                            oid, obj.origin_oid, obj.destination_oid
+                        )
             self._classifications[item["name"]] = classification

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ..telemetry import DISABLED, Telemetry
 
@@ -41,6 +42,11 @@ class EventKind(enum.Enum):
     AFTER_COMMIT = "after_commit"
     AFTER_ABORT = "after_abort"
     METHOD_CALL = "method_call"
+
+    # Members are singletons compared by identity, so the identity hash
+    # is valid — and C-level: every publish tests ``event.kind in kinds``
+    # once per filtered subscriber, where ``Enum.__hash__`` is Python.
+    __hash__ = object.__hash__
 
 
 @dataclass(slots=True)
@@ -82,7 +88,8 @@ class EventBus:
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self._subscribers: list[tuple[frozenset[EventKind] | None, Subscriber]] = []
-        self._muted = 0
+        #: Depth of open :meth:`bulk_load` blocks.
+        self.loading = 0
         self.published = 0
         #: Telemetry facade; swap in a live one to count publishes and
         #: time handlers.  Defaults to the shared disabled facade so the
@@ -108,8 +115,6 @@ class EventBus:
 
     def publish(self, event: Event) -> None:
         """Dispatch ``event`` to all matching subscribers, in order."""
-        if self._muted:
-            return
         self.published += 1
         tel = self.telemetry
         if not tel.enabled:
@@ -137,16 +142,14 @@ class EventBus:
                 handler(event)
                 latency.observe((time.perf_counter_ns() - started) / 1e6)
 
-    class _Muted:
-        def __init__(self, bus: "EventBus") -> None:
-            self._bus = bus
-
-        def __enter__(self) -> None:
-            self._bus._muted += 1
-
-        def __exit__(self, *exc: object) -> None:
-            self._bus._muted -= 1
-
-    def muted(self) -> "EventBus._Muted":
-        """Context manager suppressing publication (bulk loads, recovery)."""
-        return EventBus._Muted(self)
+    @contextmanager
+    def bulk_load(self) -> Iterator[None]:
+        """A bulk import (a dump load).  Every event is still dispatched,
+        so derived state — indexes — follows the load, through the undo
+        journal like any change; the rules layer stands down while
+        :attr:`loading` is non-zero (it audits afterwards on request)."""
+        self.loading += 1
+        try:
+            yield
+        finally:
+            self.loading -= 1

@@ -20,6 +20,7 @@ import json
 from typing import Any
 
 from ..classification import ClassificationManager
+from ..core.events import Event, EventKind
 from ..core.identity import OidRef
 from ..core.instances import PObject
 from ..core.relationships import RelationshipInstance
@@ -124,10 +125,12 @@ def load_dump(
     """Load a dump into ``schema``, remapping OIDs.
 
     The target schema must declare every class the dump uses.  Returns
-    the old-OID → new-OID mapping.  Events are muted during the load
-    (rules re-audit afterwards via ``check_all_invariants`` if desired);
-    relationship semantics are still *indexed* so later operations see a
-    consistent registry.
+    the old-OID → new-OID mapping.  Rules stand down during the load
+    (they re-audit afterwards via ``check_all_invariants`` if desired);
+    every other subscriber sees each object created and related with its
+    final values, so attribute indexes and relationship semantics stay
+    current — and, through the undo journal, an ``abort()`` takes the
+    whole load back out of them.
     """
     if isinstance(document, str):
         document = json.loads(document)
@@ -136,7 +139,7 @@ def load_dump(
             f"not a Prometheus dump (format={document.get('format')!r})"
         )
     oid_map: dict[int, int] = {}
-    with schema.events.muted():
+    with schema.events.bulk_load():
         # First pass: allocate handles (values follow once every OID is
         # known, so forward references remap correctly).  This goes
         # through the schema's internal install path because required
@@ -165,6 +168,13 @@ def load_dump(
                     _remap_value(value, oid_map), None
                 )
             obj._mark_dirty()
+            schema.events.publish(
+                Event(
+                    kind=EventKind.AFTER_CREATE,
+                    target=obj,
+                    class_name=obj.pclass.name,
+                )
+            )
         for entry in document["relationships"]:
             origin = schema.get_object(oid_map[int(entry["origin"])])
             destination = schema.get_object(
@@ -174,18 +184,18 @@ def load_dump(
                 role: schema.get_object(oid_map[int(oid)])
                 for role, oid in entry.get("participants", {}).items()
             }
-            values = _json_to_storable(entry["values"])
+            relclass = schema.get_class(entry["class"])
+            values = {
+                name: relclass.get_attribute(name).type_spec.from_storable(
+                    _remap_value(value, oid_map), None
+                )
+                for name, value in _json_to_storable(entry["values"]).items()
+                if relclass.has_attribute(name)
+            }
             rel = schema.relate(
                 entry["class"], origin, destination,
-                participants=participants or None,
+                participants=participants or None, **values,
             )
-            for name, value in values.items():
-                if rel.pclass.has_attribute(name):
-                    attr = rel.pclass.get_attribute(name)
-                    rel._values[name] = attr.type_spec.from_storable(
-                        _remap_value(value, oid_map), None
-                    )
-            rel._mark_dirty()
             oid_map[int(entry["oid"])] = rel.oid
     for group in document.get("synonyms", []):
         schema.synonyms.declare_all(

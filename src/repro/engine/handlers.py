@@ -14,7 +14,7 @@ Beyond the routes documented in ``docs/SERVER.md``, this layer owns
 three throughput features:
 
 * **Content negotiation** — ``Accept: application/x-repb`` answers with
-  the compact checksummed REPB v1 binary codec (:mod:`repro.engine.wire`)
+  the compact checksummed REPB v2 binary frame (:mod:`repro.engine.wire`)
   instead of JSON; ``Content-Type: application/x-repb`` submits a
   binary request body.  The payload tree is identical either way.
 * **Pre-serialized response cache** — 200-responses of ``POST /query``

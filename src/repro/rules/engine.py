@@ -144,6 +144,8 @@ class RuleEngine:
     # -- event dispatch -----------------------------------------------------------
 
     def _on_event(self, event: Event) -> None:
+        if self.schema.events.loading:
+            return  # a bulk load: rules re-audit on request
         if event.kind is EventKind.BEFORE_COMMIT:
             self._run_deferred()
             return

@@ -9,7 +9,9 @@ Public API:
 
 * :class:`ObjectStore` — OID-addressed record store with transactions.
 * :class:`Transaction` — handle returned by :meth:`ObjectStore.begin`.
-* :func:`encode_record` / :func:`decode_record` — record serialization.
+* :func:`encode_record` / :func:`decode_record` — record serialization,
+  in the one value codec (:mod:`repro.storage.serialization`) that REPB
+  frames (:mod:`repro.engine.wire`) also carry.
 * :class:`RecordLog` — the underlying append-only checksummed log.
 * :class:`LruCache` — bounded record cache.
 * :class:`FaultPlan` / :class:`FaultyFile` — deterministic fault injection.

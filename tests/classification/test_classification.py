@@ -38,6 +38,56 @@ class TestMembership:
         assert c.edges() == []
         assert len(c) == 0
 
+    def test_abort_undoes_a_placement(self, manager, nodes, graph_schema):
+        c = manager.create("c1")
+        c.place("Contains", nodes[0], nodes[1])
+        graph_schema.commit()
+        c.place("Contains", nodes[1], nodes[2])
+        graph_schema.abort()
+        assert c.children(nodes[1]) == []
+        assert len(c) == 1
+        # the stale n1->n2 adjacency would refuse this as a cycle
+        c.place("Contains", nodes[2], nodes[1])
+
+    def test_unrelate_leaves_every_classification(
+        self, manager, nodes, graph_schema
+    ):
+        c = manager.create("c1")
+        other = manager.create("c2")
+        edge = c.place("Contains", nodes[0], nodes[1])
+        other.add_edge(edge)
+        graph_schema.commit()
+        graph_schema.unrelate(edge)
+        for classification in (c, other):
+            assert edge not in classification
+            assert classification.children(nodes[0]) == []
+            assert classification.parents(nodes[1]) == []
+        c.place("Contains", nodes[1], nodes[0])  # no longer a cycle
+        graph_schema.abort()
+        for classification in (c, other):
+            assert edge in classification
+            assert classification.children(nodes[0]) == [nodes[1]]
+        assert len(c) == 1 and len(other) == 1
+
+    def test_second_edge_between_a_pair_keeps_adjacency(
+        self, manager, nodes
+    ):
+        c = manager.create("c1")
+        first = c.place("Contains", nodes[0], nodes[1])
+        c.place("Contains", nodes[0], nodes[1])
+        c.remove_edge(first)
+        assert c.children(nodes[0]) == [nodes[1]]
+        assert c.parents(nodes[1]) == [nodes[0]]
+
+    def test_abort_undoes_a_removal(self, manager, nodes, graph_schema):
+        c = manager.create("c1")
+        edge = c.place("Contains", nodes[0], nodes[1])
+        graph_schema.commit()
+        c.remove_edge(edge)
+        graph_schema.abort()
+        assert edge in c
+        assert c.children(nodes[0]) == [nodes[1]]
+
     def test_duplicate_name_rejected(self, manager):
         manager.create("c1")
         with pytest.raises(ClassificationError):

@@ -1,4 +1,6 @@
-"""Event bus: subscription, filtering, muting, veto ordering."""
+"""Event bus: subscription, filtering, bulk loads, veto ordering."""
+
+import pytest
 
 from repro.core.events import Event, EventBus, EventKind
 
@@ -55,29 +57,30 @@ class TestEventBus:
             pass
         assert seen == []
 
-    def test_muted(self):
+    def test_bulk_load_still_dispatches(self):
+        # A bulk load is not silent: index upkeep must follow it.  Only
+        # the rules layer reads ``loading`` and stands down.
         bus = EventBus()
         seen = []
-        bus.subscribe(lambda e: seen.append(1))
-        with bus.muted():
+        bus.subscribe(lambda e: seen.append(bus.loading))
+        with bus.bulk_load():
             bus.publish(Event(kind=EventKind.AFTER_CREATE))
         bus.publish(Event(kind=EventKind.AFTER_CREATE))
-        assert seen == [1]
+        assert seen == [1, 0]
 
-    def test_muted_nests(self):
+    def test_bulk_load_nests_and_unwinds(self):
         bus = EventBus()
-        seen = []
-        bus.subscribe(lambda e: seen.append(1))
-        with bus.muted():
-            with bus.muted():
-                bus.publish(Event(kind=EventKind.AFTER_CREATE))
-            bus.publish(Event(kind=EventKind.AFTER_CREATE))
-        bus.publish(Event(kind=EventKind.AFTER_CREATE))
-        assert seen == [1]
+        with pytest.raises(RuntimeError):
+            with bus.bulk_load():
+                with bus.bulk_load():
+                    assert bus.loading == 2
+                assert bus.loading == 1
+                raise RuntimeError
+        assert bus.loading == 0
 
     def test_published_counter(self):
         bus = EventBus()
         bus.publish(Event(kind=EventKind.AFTER_CREATE))
-        with bus.muted():
+        with bus.bulk_load():
             bus.publish(Event(kind=EventKind.AFTER_CREATE))
-        assert bus.published == 1
+        assert bus.published == 2

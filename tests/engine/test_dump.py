@@ -147,3 +147,75 @@ class TestLoad:
         # shared, so no synonym pairs arise — the copies are independent.
         assert report.shared_leaf_oids == frozenset()
         assert len(a) == len(b)
+
+
+class TestLoadKeepsIndexesCurrent:
+    """A load is a bulk create: the indexes follow it, and an ``abort()``
+    takes it back out of them, so planned answers equal naive ones."""
+
+    POINT = "select i.name from i in Item where i.v = 3"
+    EDGE = "select l.year from l in Link where l.year = 2003"
+
+    @staticmethod
+    def _declare(schema):
+        from repro.core import types as T
+        from repro.core.attributes import Attribute
+
+        schema.define_class(
+            "Item", [Attribute("name", T.STRING), Attribute("v", T.INTEGER)]
+        )
+        schema.define_relationship(
+            "Link", "Item", "Item", attributes=[Attribute("year", T.INTEGER)]
+        )
+
+    def _loaded(self):
+        from repro.core.schema import Schema
+        from repro.engine import PrometheusDB
+
+        source = Schema()
+        self._declare(source)
+        items = [source.create("Item", name=f"n{i}", v=i) for i in range(5)]
+        for i in range(4):
+            source.relate("Link", items[i], items[i + 1], year=2000 + i)
+        db = PrometheusDB()
+        self._declare(db.schema)
+        db.indexes.create_index("Item", "v")
+        db.indexes.create_index("Link", "year")
+        db.commit()
+        load_dump(db.schema, dump_schema(source))
+        return db
+
+    def _planned_equals_naive(self, db):
+        from repro.query import execute
+
+        for text in (self.POINT, self.EDGE):
+            assert db.query(text) == execute(db.schema, text), text
+
+    def test_after_commit(self):
+        db = self._loaded()
+        db.commit()
+        assert db.query(self.POINT) == ["n3"]
+        assert db.query(self.EDGE) == [2003]
+        self._planned_equals_naive(db)
+
+    def test_after_abort(self):
+        db = self._loaded()
+        db.abort()
+        assert db.query(self.POINT) == []
+        assert all(len(index) == 0 for index in db.indexes.indexes())
+        self._planned_equals_naive(db)
+
+    def test_rules_stand_down_during_the_load(self):
+        from repro.errors import ConstraintViolation
+        from repro.rules import Rule, on_create, on_relate
+
+        db = self._loaded()  # indexes the load; now veto every create
+        for name, event in (("no_items", on_create("Item")),
+                            ("no_links", on_relate("Link"))):
+            db.rules.register(
+                Rule(name=name, event=event, condition=lambda ctx: False)
+            )
+        load_dump(db.schema, dump_schema(db.schema))
+        assert db.schema.count("Item") == 10
+        with pytest.raises(ConstraintViolation):
+            db.schema.create("Item", name="n", v=0)

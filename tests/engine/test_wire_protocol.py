@@ -1,4 +1,4 @@
-"""REPB v1 wire-codec conformance: fuzz round-trips + frame rejection.
+"""REPB v2 wire-codec conformance: fuzz round-trips + frame rejection.
 
 Mirrors the PLSB frame tests' stance: a frame either decodes to the
 exact value that was encoded, or raises :class:`WireError` — a torn,
@@ -187,7 +187,7 @@ class TestFrameRejection:
                 rng.randrange(256) for _ in range(rng.randrange(1, 40))
             )
             frame = struct.pack(
-                ">4sBBII", b"REPB", 1, 0, len(payload), rng.getrandbits(32)
+                ">4sBBII", b"REPB", wire.VERSION, 0, len(payload), rng.getrandbits(32)
             ) + payload
             with pytest.raises(WireError):
                 wire.decode_frame(frame)
@@ -195,7 +195,7 @@ class TestFrameRejection:
     def test_oversized_declared_length(self):
         # A corrupt length field must be rejected before any allocation.
         frame = struct.pack(
-            ">4sBBII", b"REPB", 1, 0, wire.MAX_PAYLOAD_BYTES + 1, 0
+            ">4sBBII", b"REPB", wire.VERSION, 0, wire.MAX_PAYLOAD_BYTES + 1, 0
         )
         with pytest.raises(WireError, match="ceiling"):
             wire.decode_frame(frame)
@@ -213,7 +213,7 @@ class TestFrameRejection:
         inner = wire.encode_frame(42)[wire.HEADER_SIZE:]
         payload = inner + b"\x00\x00"
         frame = struct.pack(
-            ">4sBBII", b"REPB", 1, 0, len(payload), zlib.crc32(payload)
+            ">4sBBII", b"REPB", wire.VERSION, 0, len(payload), zlib.crc32(payload)
         ) + payload
         with pytest.raises(WireError, match="trailing"):
             wire.decode_frame(frame)
@@ -224,7 +224,7 @@ class TestFrameRejection:
         # list tag + varint count far beyond the remaining bytes
         payload = b"\x07\xff\xff\xff\x7f"
         frame = struct.pack(
-            ">4sBBII", b"REPB", 1, 0, len(payload), zlib.crc32(payload)
+            ">4sBBII", b"REPB", wire.VERSION, 0, len(payload), zlib.crc32(payload)
         ) + payload
         with pytest.raises(WireError, match="count"):
             wire.decode_frame(frame)
@@ -234,7 +234,7 @@ class TestFrameRejection:
 
         payload = b"\x7f"
         frame = struct.pack(
-            ">4sBBII", b"REPB", 1, 0, len(payload), zlib.crc32(payload)
+            ">4sBBII", b"REPB", wire.VERSION, 0, len(payload), zlib.crc32(payload)
         ) + payload
         with pytest.raises(WireError, match="tag"):
             wire.decode_frame(frame)
@@ -252,7 +252,7 @@ class TestFrameRejection:
 
         payload = b"\x03" + b"\x80" * 100 + b"\x01"
         frame = struct.pack(
-            ">4sBBII", b"REPB", 1, 0, len(payload), zlib.crc32(payload)
+            ">4sBBII", b"REPB", wire.VERSION, 0, len(payload), zlib.crc32(payload)
         ) + payload
         with pytest.raises(WireError, match="varint"):
             wire.decode_frame(frame)
@@ -262,7 +262,7 @@ class TestFrameRejection:
 
         payload = b"\x05\x02\xff\xfe"
         frame = struct.pack(
-            ">4sBBII", b"REPB", 1, 0, len(payload), zlib.crc32(payload)
+            ">4sBBII", b"REPB", wire.VERSION, 0, len(payload), zlib.crc32(payload)
         ) + payload
         with pytest.raises(WireError, match="UTF-8"):
             wire.decode_frame(frame)
