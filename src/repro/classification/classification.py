@@ -22,6 +22,8 @@ same way: every attach and detach journals its inverse
 (:attr:`Schema.journal`), and an unrelated edge leaves every
 classification holding it through the same journal — an aborted
 ``place`` or ``unrelate`` leaves membership and adjacency as they were.
+The registry itself follows the journal too: an aborted ``create`` or
+``drop`` leaves the set of classifications as it was.
 """
 
 from __future__ import annotations
@@ -334,6 +336,7 @@ class ClassificationManager:
             publication=publication,
             description=description,
         )
+        self.schema.journal.record(partial(self._classifications.pop, name))
         self._classifications[name] = classification
         self._mark_stored()
         return classification
@@ -369,6 +372,9 @@ class ClassificationManager:
                 owners = self.classifications_of_edge(edge)
                 if owners == [classification]:
                     self.schema.unrelate(edge)
+        self.schema.journal.record(
+            partial(self._classifications.__setitem__, name, classification)
+        )
         del self._classifications[name]
         self._mark_stored()
 

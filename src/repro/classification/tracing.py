@@ -14,7 +14,8 @@ two complementary ways:
 
 The :class:`TraceLog` subscribes to nothing: layers call
 :meth:`TraceLog.record` explicitly, keeping "what happened" (events) and
-"why it happened" (traces) separate concerns.
+"why it happened" (traces) separate concerns.  Each entry journals its
+own removal (:attr:`Schema.journal`), so an aborted act leaves no trace.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ class TraceLog:
         object_oid: int = 0,
         **details: Any,
     ) -> TraceEntry:
-        """Append one trace entry and persist the journal."""
+        """Append one trace entry and persist the journal; a rollback
+        past it takes it back out."""
         entry = TraceEntry(
             sequence=len(self._entries) + 1,
             operation=operation,
@@ -119,9 +121,14 @@ class TraceLog:
             object_oid=object_oid,
             details=details,
         )
+        self._schema.journal.record(self._unrecord)
         self._entries.append(entry)
         self._stored.append(entry.to_storable())
         return entry
+
+    def _unrecord(self) -> None:
+        self._entries.pop()
+        self._stored.pop()
 
     def __len__(self) -> int:
         return len(self._entries)

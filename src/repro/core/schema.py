@@ -512,11 +512,13 @@ class Schema(ObjectTable):
 
     def adopt(self, obj: PObject) -> None:
         """Make a ready-built handle live and pending: the next commit
-        writes it.  No events, checks or undo — :meth:`create` and
-        :meth:`relate` add those; a shard installing a cross-shard edge
-        cannot check endpoints it does not hold."""
+        writes it (and no longer tombstones it).  No events, checks or
+        undo — :meth:`create` and :meth:`relate` add those; a shard
+        installing a cross-shard edge cannot check endpoints it does not
+        hold, and a shard move is neither a create nor a delete."""
         self._admit(obj)
         self._dirty[obj.oid] = obj
+        self._pending_deletes.pop(obj.oid, None)
         obj._dirty = True
 
     def _uninstall(self, obj: PObject) -> None:
@@ -606,7 +608,6 @@ class Schema(ObjectTable):
         def undo() -> None:
             obj._deleted = False
             self.adopt(obj)
-            self._pending_deletes.pop(obj.oid, None)
 
         self._record_undo(undo, obj)
 

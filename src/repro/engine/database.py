@@ -358,11 +358,17 @@ class PrometheusDB:
         # Upper layers built before the load (``TaxonomyDatabase.
         # over_engine(db)`` first, ``db.load()`` second) re-read the
         # metadata record that just arrived.
+        self.reread_metadata()
+        return loaded
+
+    def reread_metadata(self) -> None:
+        """Rebuild the classifications and trace log, where built, from
+        the metadata record now installed (after a boot, or a replica
+        batch that carried it)."""
         if self._classifications is not None:
             self._classifications.reload()
         if self._trace is not None:
             self._trace.reload()
-        return loaded
 
     def close(self) -> None:
         self.release_snapshots()

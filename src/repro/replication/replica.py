@@ -207,10 +207,12 @@ class ReplicaApplier:
         with — so rules do not re-fire for changes that already ran
         their course on the primary, and nothing is marked dirty (a
         replica has nothing to flush).  Attribute indexes follow through
-        ``note_removed`` / ``note_installed``.
+        ``note_removed`` / ``note_installed``, and a batch that carries
+        the metadata record re-reads the classifications and trace log.
         """
         schema = self.db.schema
         indexes = self.db.indexes
+        meta = False
         for oid, fields in batch.changes:
             if schema.has_object(oid):
                 indexes.note_removed(schema.get_object(oid))
@@ -218,8 +220,12 @@ class ReplicaApplier:
                 schema.evict(oid)
                 continue
             obj = schema.install(oid, fields)
-            if obj is not None:
+            if obj is None:
+                meta = True
+            else:
                 indexes.note_installed(obj)
+        if meta:
+            self.db.reread_metadata()
 
     def _feed_mvcc(self, batch: AppliedBatch) -> None:
         """Stamp the replica's version chains with the batch's commits.

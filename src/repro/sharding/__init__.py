@@ -1,7 +1,7 @@
 """Horizontal sharding: partition the flora across nodes by taxon-subtree
 ranges and run POOL queries scatter-gather across the shards.
 
-The package splits into four layers:
+The package splits into five modules:
 
 - :mod:`repro.sharding.shardmap` — the versioned shard map: half-open
   key ranges over the rank/classification-path attribute, plus a
@@ -20,11 +20,12 @@ The package splits into four layers:
 - :mod:`repro.sharding.coordinator` — executes those plans through
   federation's breakers, one in-process shard after another on the
   caller's thread, owns the global OID allocator (so topologies are
-  byte-comparable), and applies sessions and rebalances
-  deterministically.
-- :mod:`repro.sharding.rebalance` — ships extents between shards over
-  the PLSB replication frame codec (CRC-gated), bumping the shard-map
-  epoch so response caches can never serve a pre-move body.
+  byte-comparable), applies sessions inside every shard's undo journal
+  (a refused session leaves nothing), and moves objects between shards
+  as stored records (``move_object``, the one mover).
+- :mod:`repro.sharding.rebalance` — moves a key range between shards
+  through ``move_object``, bumping the shard-map epoch so response
+  caches can never serve a pre-move body.
 """
 
 from .shardmap import ShardMap, ShardMapError, ShardRange

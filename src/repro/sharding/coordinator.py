@@ -20,16 +20,24 @@ two topologies must not diverge on validation side effects.
 Writes to the shard-key attribute relocate the object (and its
 outgoing edges) to the shard the map now assigns, keeping the pruning
 invariant: a predicate that pins a key range only needs the shards
-whose ranges intersect it.
+whose ranges intersect it.  :meth:`ShardedDatabase.move_object` is the
+one mover, for relocations and rebalances alike: the stored records
+leave one shard and enter the other, with no event on either.
+
+A :class:`ShardedSession` applies its ops inside every shard's undo
+journal, so a refused op takes the whole session back out.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable
 
 from ..core.identity import OidAllocator
+from ..core.instances import PObject
 from ..core.relationships import RelationshipInstance
 from ..core.schema import Schema
 from ..engine.database import PrometheusDB
@@ -68,7 +76,7 @@ class ShardExecutionError(ShardingError):
 
 class LocalShardClient:
     """In-process shard: ``query`` plus the admin surface the
-    coordinator and rebalancer need.
+    coordinator needs.
 
     Shards sit in ``Federation.nodes`` so every coordinator fan-out
     inherits their breakers; the coordinator reaches them
@@ -117,12 +125,15 @@ class LocalShardClient:
         origin_oid: int,
         destination_oid: int,
         attrs: dict[str, Any],
+        undo: bool = False,
     ) -> None:
         """Low-level relationship install: mirrors ``Schema.relate``'s
         installation sequence but skips endpoint liveness and
         cardinality validation, which cannot see across shards.  The
-        destination (or even the origin, mid-rebalance) may live
-        elsewhere; the evaluator treats missing endpoints as null."""
+        destination may live elsewhere; the evaluator treats missing
+        endpoints as null.  With ``undo`` (a session's op) the install
+        journals its own inverse before the attribute sets journal
+        theirs."""
         schema = self.db.schema
         relclass = schema.get_class(rel_name)
         rel = RelationshipInstance(
@@ -135,41 +146,14 @@ class LocalShardClient:
         )
         schema.adopt(rel)
         self.db.indexes.note_installed(rel)
+        if undo:
+            schema.journal.record(partial(self._uninstall, rel))
         for name, value in attrs.items():
             rel.set(name, value)
 
-    def remove_object(self, oid: int) -> None:
-        """Low-level removal for rebalancing: the object leaves this
-        shard but keeps existing elsewhere, so no delete events fire
-        and no edge cascade runs."""
-        schema = self.db.schema
-        self.db.indexes.note_removed(schema.get_object(oid))
-        schema.evict(oid, pending=True)
-
-    def export_attrs(self, oid: int) -> dict[str, Any]:
-        obj = self.db.schema.get_object(oid)
-        return {
-            name: obj.get(name)
-            for name in obj.pclass.all_attributes()
-        }
-
-    def outgoing_edges(self, oid: int) -> list[dict[str, Any]]:
-        """Edges whose origin is ``oid`` (they ride along on a move)."""
-        out = []
-        for rel in self.db.schema.relationships.outgoing(oid):
-            out.append(
-                {
-                    "class": rel.pclass.name,
-                    "oid": rel.oid,
-                    "origin": rel.origin_oid,
-                    "destination": rel.destination_oid,
-                    "values": {
-                        name: rel.get(name)
-                        for name in rel.pclass.all_attributes()
-                    },
-                }
-            )
-        return sorted(out, key=lambda e: e["oid"])
+    def _uninstall(self, obj: PObject) -> None:
+        self.db.indexes.note_removed(obj)
+        self.db.schema.evict(obj.oid)
 
     def oids_in_key_range(
         self, key_attr: str, lo: str | None, hi: str | None
@@ -259,12 +243,13 @@ class LocalShardClient:
 
 
 class ShardedSession:
-    """Staged multi-op write session applied atomically at commit.
+    """Staged multi-op write session applied at commit.
 
     Operations are staged in call order and applied in that order at
-    :meth:`commit` — the same sequence on every topology, so both the
-    1-shard and 4-shard databases end in the same logical state even
-    when an op fails partway (the failure point is deterministic)."""
+    :meth:`commit` — the same sequence on every topology.  An op that
+    refuses takes the whole session back out of every shard (see
+    :meth:`ShardedDatabase._apply_session`); a crash between the shard
+    commits that follow is not covered."""
 
     def __init__(self, db: "ShardedDatabase") -> None:
         self._db = db
@@ -390,11 +375,15 @@ class ShardedDatabase:
         return len(self._history)
 
     def _install_create(
-        self, oid: int, class_name: str, attrs: dict[str, Any]
+        self,
+        oid: int,
+        class_name: str,
+        attrs: dict[str, Any],
+        undo: bool = False,
     ) -> None:
         shard = self.map.route(attrs.get(self.map.key_attr), oid)
         self.shards[shard].install_object(class_name, oid, attrs)
-        self.router.assign(oid, shard)
+        self._route(oid, shard, undo)
 
     def _install_relate(
         self,
@@ -403,29 +392,50 @@ class ShardedDatabase:
         origin_oid: int,
         destination_oid: int,
         attrs: dict[str, Any],
+        undo: bool = False,
     ) -> None:
         if not self.meta.has_class(rel_name):
             raise ShardingError(f"unknown relationship {rel_name!r}")
         shard = self._owner(origin_oid)
         self.shards[shard].install_edge(
-            rel_name, oid, origin_oid, destination_oid, attrs
+            rel_name, oid, origin_oid, destination_oid, attrs, undo
         )
+        self._route(oid, shard, undo)
+
+    def _route(self, oid: int, shard: str, undo: bool) -> None:
+        """Route ``oid`` to ``shard``; with ``undo`` the owning shard's
+        journal takes the route back out on rollback."""
         self.router.assign(oid, shard)
+        if undo:
+            self.shards[shard].db.schema.journal.record(
+                partial(self.router.forget, oid)
+            )
 
     def _apply_session(self, ops: list[tuple[Any, ...]]) -> int:
+        """Apply ``ops`` in call order inside every shard's undo journal
+        (entered in sorted shard order).  An op that refuses rolls each
+        shard back to where the session began — objects, edges, index
+        entries and routes — and the refusal propagates before any
+        shard commits.  Key-attribute relocations run once every op is
+        in."""
         key_touched: list[int] = []
-        for op in ops:
-            if op[0] == "create":
-                _, oid, class_name, attrs = op
-                self._install_create(oid, class_name, attrs)
-            elif op[0] == "set":
-                _, oid, name, value = op
-                self.shards[self._owner(oid)].set_attr(oid, name, value)
-                if name == self.map.key_attr:
-                    key_touched.append(oid)
-            elif op[0] == "relate":
-                _, oid, rel_name, origin, dest, attrs = op
-                self._install_relate(oid, rel_name, origin, dest, attrs)
+        with ExitStack() as journals:
+            for name in sorted(self.shards):
+                journals.enter_context(self.shards[name].db.schema.journal)
+            for op in ops:
+                if op[0] == "create":
+                    _, oid, class_name, attrs = op
+                    self._install_create(oid, class_name, attrs, undo=True)
+                elif op[0] == "set":
+                    _, oid, name, value = op
+                    self.shards[self._owner(oid)].set_attr(oid, name, value)
+                    if name == self.map.key_attr:
+                        key_touched.append(oid)
+                elif op[0] == "relate":
+                    _, oid, rel_name, origin, dest, attrs = op
+                    self._install_relate(
+                        oid, rel_name, origin, dest, attrs, undo=True
+                    )
         for oid in sorted(set(key_touched)):
             self._maybe_relocate(oid)
         return self.commit()
@@ -453,34 +463,38 @@ class ShardedDatabase:
         self.move_object(oid, current, target)
 
     def move_object(self, oid: int, source: str, target: str) -> int:
-        """Move one object and its outgoing edges between shards.
-        Returns the number of records moved."""
-        src = self.shards[source]
-        dst = self.shards[target]
-        obj = src.db.schema.get_object(oid)
-        class_name = obj.pclass.name
-        attrs = src.export_attrs(oid)
-        edges = src.outgoing_edges(oid)
-        for edge in edges:
-            src.remove_object(edge["oid"])
-        src.remove_object(oid)
-        dst.install_object(class_name, oid, attrs)
-        self.router.move(oid, target)
-        for edge in edges:
-            dst.install_edge(
-                edge["class"],
-                edge["oid"],
-                edge["origin"],
-                edge["destination"],
-                edge["values"],
-            )
-            self.router.move(edge["oid"], target)
+        """Move one object and its outgoing edges between shards: the
+        one mover, for key relocations and rebalances alike.
+
+        The stored records move, not the values: each leaves ``source``
+        as its ``to_record`` (index entries out, evicted with its next
+        commit's tombstone pending) and enters ``target`` through
+        ``from_record`` and ``adopt`` (index entries in, written by its
+        next commit).  A move is neither a create nor a delete, so no
+        event, rule or undo entry fires on either shard.  Returns the
+        number of records moved."""
+        src = self.shards[source].db
+        dst = self.shards[target].db
+        schema = src.schema
+        edges = sorted(
+            schema.relationships.outgoing(oid), key=attrgetter("oid")
+        )
+        moving = [schema.get_object(oid), *edges]
+        records = [(obj.oid, schema.to_record(obj)) for obj in moving]
+        for obj in moving:
+            src.indexes.note_removed(obj)
+            schema.evict(obj.oid, pending=True)
+        for moved, record in records:
+            obj = dst.schema.from_record(moved, record)
+            dst.schema.adopt(obj)
+            dst.indexes.note_installed(obj)
+            self.router.move(moved, target)
         if self.telemetry.enabled:
             self.telemetry.registry.counter(
                 "repro_shard_moved_objects_total",
                 help="Objects relocated between shards",
-            ).inc(1 + len(edges))
-        return 1 + len(edges)
+            ).inc(len(records))
+        return len(records)
 
     def rehome_misplaced(self) -> int:
         """Move every object whose placement no longer matches the map.

@@ -1,13 +1,11 @@
-"""Extent rebalancing: ship a key range between shards over PLSB frames.
+"""Extent rebalancing: move a key range between shards.
 
 A rebalance moves every object whose shard-key falls in a half-open
 range ``[lo, hi)`` — plus the outgoing relationship instances that ride
 with their origin — to a target shard, then installs a new shard map
-whose epoch has risen.  The batches travel through the *replication*
-frame codec (:mod:`repro.replication.stream`): each frame is CRC-32
-gated, so a corrupt hop is detected before any record is installed, and
-a persistent deployment can reuse its existing frame transport
-unchanged.
+whose epoch has risen.  Each object goes through
+:meth:`ShardedDatabase.move_object`, the same record move a key-attribute
+relocation makes: no event fires on either shard.
 
 The epoch bump is the cache-safety handshake: the response cache stamps
 every pre-serialized body with the shard-map epoch (see
@@ -20,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..replication.stream import decode_frame, encode_frame
-from ..storage.serialization import decode_record, encode_record
 from .coordinator import ShardedDatabase, ShardingError
 
 
@@ -34,8 +30,6 @@ class RebalanceReport:
     target: str
     moved_objects: int = 0
     moved_edges: int = 0
-    frames: int = 0
-    bytes_shipped: int = 0
     old_epoch: int = 0
     new_epoch: int = 0
     rehomed: int = 0
@@ -48,8 +42,6 @@ class RebalanceReport:
             "sources": self.sources,
             "moved_objects": self.moved_objects,
             "moved_edges": self.moved_edges,
-            "frames": self.frames,
-            "bytes_shipped": self.bytes_shipped,
             "rehomed": self.rehomed,
             "epoch": [self.old_epoch, self.new_epoch],
         }
@@ -58,17 +50,8 @@ class RebalanceReport:
 class ExtentRebalancer:
     """Moves key ranges between the shards of a :class:`ShardedDatabase`."""
 
-    def __init__(self, db: ShardedDatabase, batch_size: int = 64) -> None:
-        if batch_size < 1:
-            raise ShardingError("batch_size must be >= 1")
+    def __init__(self, db: ShardedDatabase) -> None:
         self.db = db
-        self.batch_size = batch_size
-
-    # Test seam: the wire between encode and decode.  Subclasses (and
-    # fault tests) may corrupt or drop frames here; the CRC gate in
-    # ``decode_frame`` must then refuse the batch before any install.
-    def _ship(self, frame: bytes) -> bytes:
-        return frame
 
     def move_range(
         self, lo: str | None, hi: str | None, target: str
@@ -76,9 +59,7 @@ class ExtentRebalancer:
         """Move ``[lo, hi)`` to ``target`` and install the bumped map.
 
         The range must exactly match one range of the current map
-        (split first if needed); the map is only adopted after every
-        frame applied cleanly, so a CRC failure aborts with placement
-        and map still consistent."""
+        (split first if needed)."""
         db = self.db
         if target not in db.shards:
             raise ShardingError(f"unknown target shard {target!r}")
@@ -90,7 +71,6 @@ class ExtentRebalancer:
             old_epoch=db.map.epoch,
             new_epoch=new_map.epoch,
         )
-        cursor = 0  # frames carry a synthetic, contiguous byte range
         for source in sorted(db.shards):
             if source == target:
                 continue
@@ -99,26 +79,9 @@ class ExtentRebalancer:
             if not oids:
                 continue
             report.sources.append(source)
-            for start in range(0, len(oids), self.batch_size):
-                batch = oids[start : start + self.batch_size]
-                doc = self._collect(source, batch)
-                payload = encode_record(doc)
-                frame = encode_frame(
-                    cursor,
-                    cursor + len(payload),
-                    payload,
-                    epoch=new_map.epoch,
-                )
-                cursor += len(payload)
-                report.frames += 1
-                report.bytes_shipped += len(frame)
-                # decode_frame re-verifies the CRC — a corrupted hop
-                # raises ReplicationError before anything is installed.
-                _, _, blob, _ = decode_frame(self._ship(frame))
-                applied = decode_record(bytes(blob))
-                self._apply(source, target, applied)
-                report.moved_objects += len(applied["objects"])
-                report.moved_edges += len(applied["edges"])
+            for oid in oids:
+                report.moved_edges += db.move_object(oid, source, target) - 1
+            report.moved_objects += len(oids)
         db.adopt_map(new_map)
         # Range ownership changed, so the hash-fallback ring may have
         # too: re-home unclassified objects whose hash slot moved.
@@ -130,43 +93,3 @@ class ExtentRebalancer:
             ).inc()
         db.commit()
         return report
-
-    def _collect(self, source: str, oids: list[int]) -> dict[str, Any]:
-        client = self.db.shards[source]
-        objects = []
-        edges = []
-        for oid in oids:
-            obj = client.db.schema.get_object(oid)
-            objects.append(
-                {
-                    "class": obj.pclass.name,
-                    "oid": oid,
-                    "values": client.export_attrs(oid),
-                }
-            )
-            edges.extend(client.outgoing_edges(oid))
-        return {"objects": objects, "edges": edges}
-
-    def _apply(
-        self, source: str, target: str, doc: dict[str, Any]
-    ) -> None:
-        db = self.db
-        src = db.shards[source]
-        dst = db.shards[target]
-        for edge in doc["edges"]:
-            src.remove_object(edge["oid"])
-        for record in doc["objects"]:
-            src.remove_object(record["oid"])
-            dst.install_object(
-                record["class"], record["oid"], record["values"]
-            )
-            db.router.move(record["oid"], target)
-        for edge in doc["edges"]:
-            dst.install_edge(
-                edge["class"],
-                edge["oid"],
-                edge["origin"],
-                edge["destination"],
-                edge["values"],
-            )
-            db.router.move(edge["oid"], target)

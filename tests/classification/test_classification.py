@@ -197,6 +197,37 @@ class TestOverlapQueries:
         assert only_c1.deleted
 
 
+class TestRegistryRollback:
+    def test_abort_undoes_a_create(self, tmp_path):
+        path = tmp_path / "c.plog"
+        store = ObjectStore(path)
+        schema = make_graph_schema(store)
+        manager = ClassificationManager(schema)
+        manager.create("k", author="A")
+        schema.abort()
+        assert "k" not in manager
+        assert len(manager) == 0
+        schema.commit()
+        store.close()
+
+        store2 = ObjectStore(path)
+        schema2 = make_graph_schema(store2)
+        schema2.load_all()
+        assert len(ClassificationManager(schema2)) == 0
+        store2.close()
+
+    def test_abort_undoes_a_drop(self, manager, nodes, graph_schema):
+        c = manager.create("c1")
+        edge = c.place("Contains", nodes[0], nodes[1])
+        graph_schema.commit()
+        manager.drop("c1", delete_edges=True)
+        assert edge.deleted
+        graph_schema.abort()
+        assert manager.get("c1") is c
+        assert [e.oid for e in c.edges()] == [edge.oid]
+        assert graph_schema.has_object(edge.oid)
+
+
 class TestPersistence:
     def test_classifications_survive_reopen(self, tmp_path):
         path = tmp_path / "c.plog"

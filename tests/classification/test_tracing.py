@@ -62,3 +62,32 @@ class TestTraceLog:
         assert entry.subject_oid == 5
         assert entry.timestamp  # preserved
         store2.close()
+
+
+class TestTraceRollback:
+    def test_aborted_placement_leaves_no_entry(self, tmp_path):
+        from repro.engine import PrometheusDB
+        from repro.taxonomy import TaxonomyDatabase, define_taxonomy_schema
+
+        path = tmp_path / "trace.plog"
+        db = PrometheusDB(path)
+        taxdb = TaxonomyDatabase.over_engine(db)
+        c = taxdb.new_classification("c")
+        genus = taxdb.new_taxon("Genus")
+        species = taxdb.new_taxon("Species")
+        db.commit()
+        taxdb.place(c, genus, species, motivation="petals")
+        assert len(taxdb.trace) == 1
+        db.abort()
+        assert len(taxdb.trace) == 0
+        assert len(c) == 0
+        db.commit()
+        db.close()
+
+        again = PrometheusDB(path)
+        define_taxonomy_schema(again.schema)
+        again.load()
+        assert len(again.classifications.get("c")) == 0
+        assert len(again.trace) == 0
+        assert again.schema.meta_extras["trace_log"] == []
+        again.close()

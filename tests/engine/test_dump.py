@@ -149,6 +149,24 @@ class TestLoad:
         assert len(a) == len(b)
 
 
+class TestLoadAbort:
+    def test_abort_then_load_again(self, scenario):
+        source = scenario.taxdb
+        document = dump_schema(source.schema, source.classifications)
+        target = TaxonomyDatabase()
+        load_dump(target.schema, document, target.classifications)
+        target.schema.abort()
+        assert len(target.classifications) == 0
+        load_dump(target.schema, document, target.classifications)
+        assert target.classifications.names() == (
+            source.classifications.names()
+        )
+        for name in source.classifications.names():
+            assert len(target.classifications.get(name)) == len(
+                source.classifications.get(name)
+            )
+
+
 class TestLoadKeepsIndexesCurrent:
     """A load is a bulk create: the indexes follow it, and an ``abort()``
     takes it back out of them, so planned answers equal naive ones."""

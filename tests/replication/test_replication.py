@@ -187,6 +187,28 @@ class TestApplier:
         assert rdb.query("select count(e) from e in Entry") == [0]
         assert rdb.store.fingerprint() == primary.store.fingerprint()
 
+    def test_classifications_follow_catch_up(self, primary, replica):
+        rdb, _, client = replica
+        for db in (primary, rdb):
+            db.schema.define_relationship("Under", "Entry", "Entry")
+        a, b, c = (
+            primary.schema.create("Entry", key=key, value=i)
+            for i, key in enumerate("abc")
+        )
+        tree = primary.classifications.create("tree")
+        tree.place("Under", a, b)
+        primary.trace.record("place", "tree", subject_oid=b.oid)
+        primary.commit()
+        client.catch_up()
+        assert len(rdb.classifications.get("tree")) == 1
+        assert len(rdb.trace) == 1
+        tree.place("Under", b, c)
+        primary.trace.record("place", "tree", subject_oid=c.oid)
+        primary.commit()
+        client.catch_up()
+        assert len(rdb.classifications.get("tree")) == 2
+        assert [e.subject_oid for e in rdb.trace] == [b.oid, c.oid]
+
     def test_replica_refuses_local_writes(self, primary, replica):
         rdb, _, _ = replica
         from repro.errors import TransactionError

@@ -1,56 +1,30 @@
-"""Extent rebalancing over PLSB frames: moves, reports, fault injection.
+"""Extent rebalancing: moves, reports, and the record move under them.
 
-The rebalancer ships record batches through the replication frame
-codec, so every hop is CRC-32 gated.  The fault tests override the
-``_ship`` seam to corrupt or truncate frames mid-flight and assert the
-move aborts *before* any record is installed — placement and shard map
-stay consistent with the pre-rebalance state.
+A rebalance moves each object in the range through
+``ShardedDatabase.move_object``: its stored records (and those of its
+outgoing edges) leave the source and enter the target unchanged, and no
+event fires on either shard, because a move is neither a create nor a
+delete.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ReplicationError
+from repro.core.events import EventKind
 from repro.sharding import ExtentRebalancer, ShardingError
 
-from .topo import CHECKS, observe, pair
-
-
-class _CorruptingRebalancer(ExtentRebalancer):
-    """Flips one payload byte of the first shipped frame."""
-
-    def __init__(self, db, **kwargs):
-        super().__init__(db, **kwargs)
-        self.shipped = 0
-
-    def _ship(self, frame: bytes) -> bytes:
-        self.shipped += 1
-        if self.shipped == 1:
-            # Flip a byte inside the payload (headers start the frame).
-            corrupt = bytearray(frame)
-            corrupt[-1] ^= 0xFF
-            return bytes(corrupt)
-        return frame
-
-
-class _TruncatingRebalancer(ExtentRebalancer):
-    def _ship(self, frame: bytes) -> bytes:
-        return frame[: len(frame) // 2]
+from .topo import CHECKS, build_topology, observe, pair
 
 
 class TestMoveRange:
     def test_report_accounts_for_every_move(self):
         _, sharded = pair(23)
         placement_before = dict(sharded.router.counts())
-        report = ExtentRebalancer(sharded, batch_size=4).move_range(
-            None, "genus", "s2"
-        )
+        report = ExtentRebalancer(sharded).move_range(None, "genus", "s2")
         assert report.target == "s2"
         assert report.sources == ["s0"]
         assert report.moved_objects > 0
-        assert report.frames >= 1
-        assert report.bytes_shipped > 0
         assert report.new_epoch == report.old_epoch + 1
         # Everything s0 owned moved off (its range is gone and the
         # fallback ring no longer includes it).
@@ -67,36 +41,68 @@ class TestMoveRange:
         with pytest.raises(ShardingError):
             ExtentRebalancer(sharded).move_range(None, "genus", "nope")
 
-    def test_batch_size_validated(self):
-        _, sharded = pair(24)
-        with pytest.raises(ShardingError):
-            ExtentRebalancer(sharded, batch_size=0)
-
     def test_queries_agree_after_chained_rebalances(self):
         single, sharded = pair(25)
-        rebalancer = ExtentRebalancer(sharded, batch_size=3)
+        rebalancer = ExtentRebalancer(sharded)
         rebalancer.move_range(None, "genus", "s3")
         rebalancer.move_range("kingdom", "species", "s1")
         for text in CHECKS:
             assert observe(single, text) == observe(sharded, text), text
 
 
-class TestFrameFaults:
-    def test_corrupt_frame_aborts_before_any_install(self):
-        _, sharded = pair(26)
-        epoch_before = sharded.map.epoch
-        placement_before = dict(sharded.router.counts())
-        answers_before = [observe(sharded, t) for t in CHECKS]
-        rebalancer = _CorruptingRebalancer(sharded, batch_size=10_000)
-        with pytest.raises(ReplicationError):
-            rebalancer.move_range(None, "genus", "s2")
-        assert sharded.map.epoch == epoch_before
-        assert dict(sharded.router.counts()) == placement_before
-        assert [observe(sharded, t) for t in CHECKS] == answers_before
+def _records(db):
+    """Every stored record of a sharded database, by OID."""
+    return {
+        obj.oid: client.db.schema.to_record(obj)
+        for client in db.shards.values()
+        for obj in client.db.schema.all_objects()
+    }
 
-    def test_truncated_frame_rejected(self):
-        _, sharded = pair(27)
-        with pytest.raises(ReplicationError):
-            _TruncatingRebalancer(sharded).move_range(
-                None, "genus", "s2"
-            )
+
+class TestRecordMove:
+    def test_move_range_fires_no_event_on_any_shard(self):
+        _, sharded = pair(28)
+        seen = {name: [] for name in sharded.shards}
+        before = {}
+        for name, client in sharded.shards.items():
+            client.db.schema.events.subscribe(seen[name].append)
+            before[name] = client.db.schema.events.published
+        report = ExtentRebalancer(sharded).move_range(None, "genus", "s3")
+        assert report.moved_objects > 0
+        for name, client in sharded.shards.items():
+            # The closing commit's own two events, nothing else.
+            assert [e.kind for e in seen[name]] == [
+                EventKind.BEFORE_COMMIT, EventKind.AFTER_COMMIT
+            ]
+            published = client.db.schema.events.published - before[name]
+            assert published == len(seen[name]), name
+
+    def test_moved_records_arrive_unchanged(self):
+        _, sharded = pair(29)
+        before = _records(sharded)
+        report = ExtentRebalancer(sharded).move_range(None, "genus", "s2")
+        assert report.moved_objects + report.rehomed > 0
+        after = {}
+        for oid in before:
+            shard = sharded.router.shard_of(oid)
+            schema = sharded.shards[shard].db.schema
+            after[oid] = schema.to_record(schema.get_object(oid))
+        assert after == before
+        assert _records(sharded) == before
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_there_and_back_stays_visible_as_of(self, shards):
+        db = build_topology(shards)
+        oid = db.create(
+            "Base", name="mover", rank="genus", size=1, score=0.0,
+            flag=True,
+        )
+        db.commit()
+        db.set(oid, "rank", "species")
+        db.set(oid, "rank", "genus")
+        seq = db.commit()
+        text = 'select a.name from a in Base where a.name = "mover"'
+        assert db.query(text, check=False) == ["mover"]
+        assert db.query(text, check=False, as_of=seq) == ["mover"]
+        owner = db.shards[db.router.shard_of(oid)].db
+        assert not owner.schema.is_pending(oid)
