@@ -20,7 +20,7 @@ Semantics highlights (thesis §5.1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from ..classification import ClassificationManager, GraphView
 from ..core.instances import PObject
@@ -228,30 +228,37 @@ class Evaluator:
             span.__enter__()
         plan = self.context.plan
         try:
-            kept: list[tuple[tuple[Any, ...], Any]] = []
-            for env in self._naive_rows(query, outer_env):
-                # ORDER BY keys are computed against the binding environment,
-                # before projection, so they may use any bound variable.
-                keys = tuple(
-                    _sort_key(
-                        self._eval(item.expression, env), item.descending
-                    )
-                    for item in query.order_by
-                )
-                kept.append((keys, self._project(query, env)))
-            if query.order_by:
-                kept.sort(key=lambda pair: pair[0])
-            results = [value for _, value in kept]
-            if query.distinct:
-                results = _distinct(results)
-            if query.limit is not None:
-                results = results[: query.limit]
-            return results
+            return self.fold(query, self._naive_rows(query, outer_env))
         finally:
             if span is not None:
                 span.set("rows_examined", plan.rows_examined)
                 span.set("rows_matched", plan.rows_matched)
                 span.__exit__(None, None, None)
+
+    def fold(
+        self, query: SelectQuery, envs: Iterable[dict[str, Any]]
+    ) -> list[Any]:
+        """A select's result from its post-WHERE binding environments,
+        in binding order: ORDER BY keys and projection per row, stable
+        sort, DISTINCT, LIMIT.  The naive select and the coordinator's
+        scatter merge share it."""
+        kept: list[tuple[tuple[Any, ...], Any]] = []
+        for env in envs:
+            # ORDER BY keys are computed against the binding environment,
+            # before projection, so they may use any bound variable.
+            keys = tuple(
+                _sort_key(self._eval(item.expression, env), item.descending)
+                for item in query.order_by
+            )
+            kept.append((keys, self._project(query, env)))
+        if query.order_by:
+            kept.sort(key=lambda pair: pair[0])
+        results = [value for _, value in kept]
+        if query.distinct:
+            results = _distinct(results)
+        if query.limit is not None:
+            results = results[: query.limit]
+        return results
 
     def _naive_rows(
         self, query: SelectQuery, outer_env: dict[str, Any]

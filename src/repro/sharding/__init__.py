@@ -20,8 +20,9 @@ The package splits into five modules:
 - :mod:`repro.sharding.coordinator` — executes those plans through
   federation's breakers, one in-process shard after another on the
   caller's thread, owns the global OID allocator (so topologies are
-  byte-comparable), applies sessions inside every shard's undo journal
-  (a refused session leaves nothing), and moves objects between shards
+  byte-comparable), applies direct writes and session ops through one
+  op applier (a session runs it inside every shard's undo journal, so a
+  refused session leaves nothing), and moves objects between shards
   as stored records (``move_object``, the one mover).
 - :mod:`repro.sharding.rebalance` — moves a key range between shards
   through ``move_object``, bumping the shard-map epoch so response

@@ -9,13 +9,16 @@ federation.Federation` whose nodes are the shards — every shard call
 goes through federation's circuit breakers, on the caller's thread
 (shards are in-process, so threads would overlap nothing).
 
-Mutations are funneled through the coordinator so both topologies take
-the *same* code path: creates go through the owning shard's normal
-``schema.create`` (events, rules, MVCC ingestion all fire), while
-relationship instances are always installed through the low-level edge
-path — even when both endpoints are co-located — because a cross-shard
-edge cannot run endpoint liveness or cardinality validation and the
-two topologies must not diverge on validation side effects.
+Every mutation goes through one op applier,
+:meth:`ShardedDatabase._apply_op`, so both topologies and both write
+paths take the *same* code path: creates go through the owning shard's
+normal ``schema.create`` (events, rules, MVCC ingestion all fire),
+while relationship instances are always installed through
+:meth:`LocalShardClient.install_edge` — even when both endpoints are
+co-located — because a cross-shard edge cannot run endpoint liveness or
+cardinality validation and the two topologies must not diverge on
+validation side effects.  Each op is atomic on the one shard it lands
+on; a route is assigned only once its op is in.
 
 Writes to the shard-key attribute relocate the object (and its
 outgoing edges) to the shard the map now assigns, keeping the pruning
@@ -24,8 +27,8 @@ whose ranges intersect it.  :meth:`ShardedDatabase.move_object` is the
 one mover, for relocations and rebalances alike: the stored records
 leave one shard and enter the other, with no event on either.
 
-A :class:`ShardedSession` applies its ops inside every shard's undo
-journal, so a refused op takes the whole session back out.
+A :class:`ShardedSession` runs the same applier inside every shard's
+undo journal, so a refused op takes the whole session back out.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from ..engine.federation import Federation
 from ..errors import PrometheusError, SnapshotError
 from ..mvcc.view import SnapshotSchema
 from ..query import parse, typecheck
-from ..query.evaluator import Evaluator, QueryContext, _distinct, _sort_key
+from ..query.evaluator import Evaluator, QueryContext
 from ..query.nodes import QueryPlanInfo, SelectQuery
 from ..telemetry import DISABLED, Telemetry
 from .planner import DistributedPlan, DistributedPlanner
@@ -125,15 +128,15 @@ class LocalShardClient:
         origin_oid: int,
         destination_oid: int,
         attrs: dict[str, Any],
-        undo: bool = False,
     ) -> None:
-        """Low-level relationship install: mirrors ``Schema.relate``'s
-        installation sequence but skips endpoint liveness and
-        cardinality validation, which cannot see across shards.  The
-        destination may live elsewhere; the evaluator treats missing
-        endpoints as null.  With ``undo`` (a session's op) the install
-        journals its own inverse before the attribute sets journal
-        theirs."""
+        """Install a relationship instance as ``Schema.relate`` does —
+        ``adopt``, one journalled uninstall, then the initial attributes
+        through ``PObject.set`` (a constant class still takes them) —
+        but without endpoint liveness and cardinality validation, which
+        cannot see across shards.  The destination may live elsewhere;
+        the evaluator treats missing endpoints as null.  One
+        ``with schema.journal:`` block, so a refused attribute takes
+        the edge back out."""
         schema = self.db.schema
         relclass = schema.get_class(rel_name)
         rel = RelationshipInstance(
@@ -144,12 +147,12 @@ class LocalShardClient:
             origin_oid=origin_oid,
             destination_oid=destination_oid,
         )
-        schema.adopt(rel)
-        self.db.indexes.note_installed(rel)
-        if undo:
+        with schema.journal:
+            schema.adopt(rel)
+            self.db.indexes.note_installed(rel)
             schema.journal.record(partial(self._uninstall, rel))
-        for name, value in attrs.items():
-            rel.set(name, value)
+            for name, value in attrs.items():
+                PObject.set(rel, name, value)
 
     def _uninstall(self, obj: PObject) -> None:
         self.db.indexes.note_removed(obj)
@@ -247,9 +250,8 @@ class ShardedSession:
 
     Operations are staged in call order and applied in that order at
     :meth:`commit` — the same sequence on every topology.  An op that
-    refuses takes the whole session back out of every shard (see
-    :meth:`ShardedDatabase._apply_session`); a crash between the shard
-    commits that follow is not covered."""
+    refuses takes the whole session back out of every shard; a crash
+    between the shard commits that follow is not covered."""
 
     def __init__(self, db: "ShardedDatabase") -> None:
         self._db = db
@@ -276,10 +278,31 @@ class ShardedSession:
         return oid
 
     def commit(self) -> int:
+        """Run the ops through the coordinator's op applier inside every
+        shard's undo journal (sorted shard order).  A refusal rolls
+        each shard back to where the session began and forgets the
+        session's routes; then key relocations, then every commit."""
         if self.closed:
             raise ShardingError("session already closed")
         self.closed = True
-        return self._db._apply_session(self._ops)
+        db = self._db
+        key_touched: set[int] = set()
+        try:
+            with ExitStack() as journals:
+                for name in sorted(db.shards):
+                    journals.enter_context(db.shards[name].db.schema.journal)
+                for op in self._ops:
+                    touched = db._apply_op(op)
+                    if touched is not None:
+                        key_touched.add(touched)
+        except BaseException:
+            for op in self._ops:
+                if op[0] != "set":
+                    db.router.forget(op[1])
+            raise
+        for oid in sorted(key_touched):
+            db._maybe_relocate(oid)
+        return db.commit()
 
     def abort(self) -> None:
         self.closed = True
@@ -337,7 +360,7 @@ class ShardedDatabase:
 
     def create(self, class_name: str, **attrs: Any) -> int:
         oid = self.allocator.allocate()
-        self._install_create(oid, class_name, attrs)
+        self._apply_op(("create", oid, class_name, attrs))
         return oid
 
     def relate(
@@ -345,15 +368,13 @@ class ShardedDatabase:
         **attrs: Any,
     ) -> int:
         oid = self.allocator.allocate()
-        self._install_relate(
-            oid, rel_name, origin_oid, destination_oid, attrs
+        self._apply_op(
+            ("relate", oid, rel_name, origin_oid, destination_oid, attrs)
         )
         return oid
 
     def set(self, oid: int, name: str, value: Any) -> None:
-        shard = self._owner(oid)
-        self.shards[shard].set_attr(oid, name, value)
-        if name == self.map.key_attr:
+        if self._apply_op(("set", oid, name, value)) is not None:
             self._maybe_relocate(oid)
 
     def session(self) -> ShardedSession:
@@ -374,71 +395,32 @@ class ShardedDatabase:
     def seq(self) -> int:
         return len(self._history)
 
-    def _install_create(
-        self,
-        oid: int,
-        class_name: str,
-        attrs: dict[str, Any],
-        undo: bool = False,
-    ) -> None:
-        shard = self.map.route(attrs.get(self.map.key_attr), oid)
-        self.shards[shard].install_object(class_name, oid, attrs)
-        self._route(oid, shard, undo)
-
-    def _install_relate(
-        self,
-        oid: int,
-        rel_name: str,
-        origin_oid: int,
-        destination_oid: int,
-        attrs: dict[str, Any],
-        undo: bool = False,
-    ) -> None:
-        if not self.meta.has_class(rel_name):
-            raise ShardingError(f"unknown relationship {rel_name!r}")
-        shard = self._owner(origin_oid)
-        self.shards[shard].install_edge(
-            rel_name, oid, origin_oid, destination_oid, attrs, undo
-        )
-        self._route(oid, shard, undo)
-
-    def _route(self, oid: int, shard: str, undo: bool) -> None:
-        """Route ``oid`` to ``shard``; with ``undo`` the owning shard's
-        journal takes the route back out on rollback."""
-        self.router.assign(oid, shard)
-        if undo:
-            self.shards[shard].db.schema.journal.record(
-                partial(self.router.forget, oid)
+    def _apply_op(self, op: tuple[Any, ...]) -> int | None:
+        """The one op applier, for direct writes and sessions alike:
+        ``("create", oid, class, attrs)``, ``("relate", oid, rel,
+        origin, destination, attrs)`` or ``("set", oid, name, value)``.
+        The op is atomic on its shard, so a direct write needs no other
+        shard's journal, and a new OID is routed once its op is in.
+        Returns the OID whose shard key the op set (for the caller to
+        relocate), else None."""
+        if op[0] == "set":
+            _, oid, name, value = op
+            self.shards[self._owner(oid)].set_attr(oid, name, value)
+            return oid if name == self.map.key_attr else None
+        if op[0] == "create":
+            _, oid, class_name, attrs = op
+            shard = self.map.route(attrs.get(self.map.key_attr), oid)
+            self.shards[shard].install_object(class_name, oid, attrs)
+        else:
+            _, oid, rel_name, origin_oid, destination_oid, attrs = op
+            if not self.meta.has_class(rel_name):
+                raise ShardingError(f"unknown relationship {rel_name!r}")
+            shard = self._owner(origin_oid)
+            self.shards[shard].install_edge(
+                rel_name, oid, origin_oid, destination_oid, attrs
             )
-
-    def _apply_session(self, ops: list[tuple[Any, ...]]) -> int:
-        """Apply ``ops`` in call order inside every shard's undo journal
-        (entered in sorted shard order).  An op that refuses rolls each
-        shard back to where the session began — objects, edges, index
-        entries and routes — and the refusal propagates before any
-        shard commits.  Key-attribute relocations run once every op is
-        in."""
-        key_touched: list[int] = []
-        with ExitStack() as journals:
-            for name in sorted(self.shards):
-                journals.enter_context(self.shards[name].db.schema.journal)
-            for op in ops:
-                if op[0] == "create":
-                    _, oid, class_name, attrs = op
-                    self._install_create(oid, class_name, attrs, undo=True)
-                elif op[0] == "set":
-                    _, oid, name, value = op
-                    self.shards[self._owner(oid)].set_attr(oid, name, value)
-                    if name == self.map.key_attr:
-                        key_touched.append(oid)
-                elif op[0] == "relate":
-                    _, oid, rel_name, origin, dest, attrs = op
-                    self._install_relate(
-                        oid, rel_name, origin, dest, attrs, undo=True
-                    )
-        for oid in sorted(set(key_touched)):
-            self._maybe_relocate(oid)
-        return self.commit()
+        self.router.assign(oid, shard)
+        return None
 
     def _owner(self, oid: int) -> str:
         shard = self.router.shard_of(oid)
@@ -682,9 +664,7 @@ class ShardedDatabase:
                 )
             merged.extend(rows)
         # Re-create the single-database iteration order (extents yield
-        # OIDs ascending), then fold exactly as the naive evaluator
-        # does: sort keys and projection computed per row, stable sort,
-        # distinct, limit.
+        # OIDs ascending), then fold exactly as the naive evaluator does.
         merged.sort(key=lambda obj: obj.oid)
         evaluator = Evaluator(
             QueryContext(
@@ -694,25 +674,7 @@ class ShardedDatabase:
             )
         )
         variable = ast.bindings[0].variable
-        kept: list[tuple[tuple, Any]] = []
-        for obj in merged:
-            env = {variable: obj}
-            keys = tuple(
-                _sort_key(
-                    evaluator._eval(item.expression, env),
-                    item.descending,
-                )
-                for item in ast.order_by
-            )
-            kept.append((keys, evaluator._project(ast, env)))
-        if ast.order_by:
-            kept.sort(key=lambda pair: pair[0])
-        results = [value for _, value in kept]
-        if ast.distinct:
-            results = _distinct(results)
-        if ast.limit is not None:
-            results = results[: ast.limit]
-        return results
+        return evaluator.fold(ast, ({variable: obj} for obj in merged))
 
     def _run_scatter_count(
         self, plan: DistributedPlan, params: dict[str, Any] | None

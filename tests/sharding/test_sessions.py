@@ -1,21 +1,52 @@
-"""A refused ``ShardedSession`` leaves nothing.
+"""A refused write leaves nothing, on either write path.
 
-The session applies its ops inside every shard's undo journal, so an op
-that refuses takes the earlier ones back out — objects, edges, attribute
-writes, index entries and OID routes — before any shard commits.  The
-direct ``create``/``relate``/``set`` calls journal nothing extra.
+Direct ``create``/``relate``/``set`` calls and session ops go through
+one op applier.  Each op is atomic on the shard it lands on; a session
+also applies its ops inside every shard's undo journal, so an op that
+refuses takes the earlier ones back out — objects, edges, attribute
+writes, index entries and OID routes — before any shard commits.  A
+relationship instance takes its initial attributes as
+``Schema.relate`` does, on any topology.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import AttributeUnknownError
-from repro.sharding import ShardingError
+from repro.core import types as T
+from repro.core.attributes import Attribute
+from repro.core.semantics import RelationshipSemantics
+from repro.engine import PrometheusDB
+from repro.errors import AttributeUnknownError, ConstancyError, TypeCheckError
+from repro.sharding import ShardedDatabase, ShardingError
 
-from .topo import CHECKS, build_topology, observe, populate
+from .topo import (
+    CHECKS, build_topology, fuzz_ddl, index_ddl, make_map, observe, populate,
+)
 
 GHOST = 'select a.name from a in Base where a.name = "ghost"'
+WHY = "select r.why from r in Fixed"
+
+
+def attributed_ddl(schema) -> None:
+    """The fuzz schema plus an attributed and a constant relationship."""
+    fuzz_ddl(schema)
+    schema.define_relationship(
+        "Typed", "Base", "Base", attributes=[Attribute("n", T.INTEGER)]
+    )
+    schema.define_relationship(
+        "Fixed",
+        "Base",
+        "Base",
+        semantics=RelationshipSemantics(constant=True),
+        attributes=[Attribute("why", T.STRING)],
+    )
+
+
+def _base(name: str, rank: str) -> dict:
+    return {
+        "name": name, "rank": rank, "size": 1, "score": 0.0, "flag": True,
+    }
 
 
 def _journals(db):
@@ -78,8 +109,58 @@ class TestRefusedSession:
         assert db.query(text, check=False) == ["kept"]
 
 
-def test_direct_relate_journals_nothing():
+@pytest.mark.parametrize("shards", [1, 4])
+class TestDirectWrites:
+    def test_ill_typed_relate_leaves_nothing(self, shards):
+        db = ShardedDatabase(
+            make_map(shards), attributed_ddl, index_ddl=index_ddl
+        )
+        bases = populate(db, 37)["bases"]
+        answers = [observe(db, text) for text in CHECKS]
+        with pytest.raises(TypeCheckError):
+            db.relate("Typed", bases[0], bases[1], n="not-int")
+        refused = db.allocator.allocate() - 1
+        seq = db.commit()
+        for as_of in (None, seq):
+            assert db.query(
+                "select r from r in Typed", check=False, as_of=as_of
+            ) == []
+        assert db.router.shard_of(refused) is None
+        for client in db.shards.values():
+            assert not client.db.schema.has_object(refused)
+        assert [observe(db, text) for text in CHECKS] == answers
+        assert [observe(db, text, as_of=seq) for text in CHECKS] == answers
+
+    def test_constant_relationship_takes_initial_attributes(self, shards):
+        db = ShardedDatabase(make_map(shards), attributed_ddl)
+        plain = PrometheusDB()
+        attributed_ddl(plain.schema)
+        origin = db.create("Base", **_base("a", "genus"))
+        destination = db.create("Base", **_base("b", "species"))
+        edge = db.relate("Fixed", origin, destination, why="x")
+        rel = plain.schema.relate(
+            "Fixed",
+            plain.schema.create("Base", **_base("a", "genus")),
+            plain.schema.create("Base", **_base("b", "species")),
+            why="x",
+        )
+        seq = db.commit()
+        plain.commit()
+        assert db.query(WHY, check=False) == plain.query(WHY) == ["x"]
+        assert db.query(WHY, check=False, as_of=seq) == ["x"]
+        # Once installed, the instance is constant on both.
+        with pytest.raises(ConstancyError):
+            db.set(edge, "why", "y")
+        with pytest.raises(ConstancyError):
+            rel.set("why", "y")
+        assert db.query(WHY, check=False) == plain.query(WHY) == ["x"]
+
+
+def test_direct_relate_journals_one_entry_on_its_shard():
     db = build_topology(4)
     bases = populate(db, 33)["bases"]
+    owner = db.router.shard_of(bases[0])
     db.relate("Links", bases[0], bases[1])
+    assert _journals(db) == {name: int(name == owner) for name in db.shards}
+    db.commit()
     assert _journals(db) == {name: 0 for name in db.shards}
