@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from ..core.events import Event, EventKind
 from ..core.schema import Flushed, Schema
-from ..errors import ConflictError, SchemaError, TransactionError
+from ..errors import ConflictError, TransactionError
 from ..telemetry import DISABLED, NULL_SPAN, Telemetry
 from .transaction import Transaction, TxnState
 
@@ -379,33 +379,8 @@ class TransactionManager:
     def _replay(self, txn: Transaction) -> None:
         """Apply the op log to the shared schema, events and all."""
         schema = self.schema
-        for op in txn._ops:
-            if op.kind == "noop":
-                continue
-            if op.kind == "create":
-                schema.create(op.class_name, _oid=op.oid, **op.attrs)
-            elif op.kind == "set":
-                schema.get_object(op.oid).set(op.attr, op.value)
-            elif op.kind == "delete":
-                schema.delete(schema.get_object(op.oid), cascade=op.cascade)
-            elif op.kind == "relate":
-                participants = {
-                    role: schema.get_object(oid)
-                    for role, oid in op.participants.items()
-                } or None
-                schema.relate(
-                    op.class_name,
-                    schema.get_object(op.origin),
-                    schema.get_object(op.destination),
-                    participants=participants,
-                    _oid=op.oid,
-                    **op.attrs,
-                )
-            elif op.kind == "unrelate":
-                rel = schema.get_object(op.oid)
-                schema.unrelate(rel)  # type: ignore[arg-type]
-            else:  # pragma: no cover - staging guards op kinds
-                raise SchemaError(f"unknown replay op {op.kind!r}")
+        for op in txn.ops:
+            op.apply(schema)
 
     def _publish(
         self,

@@ -33,9 +33,10 @@ aborted transaction just leaves holes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+import itertools
+from typing import TYPE_CHECKING, Any, Iterable
 
+from ..core.ops import KINDS, Op
 from ..core.relationships import (
     DESTINATION_KEY,
     ORIGIN_KEY,
@@ -62,22 +63,6 @@ class TxnState(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
     ABORTED = "aborted"
-
-
-@dataclass(slots=True)
-class _Op:
-    """One staged mutation, replayed in order at commit."""
-
-    kind: str  # create | set | delete | relate | unrelate
-    oid: int
-    class_name: str = ""
-    attrs: dict[str, Any] = field(default_factory=dict)
-    attr: str = ""
-    value: Any = None
-    origin: int = 0
-    destination: int = 0
-    participants: dict[str, int] = field(default_factory=dict)
-    cascade: bool = True
 
 
 class Transaction:
@@ -117,7 +102,10 @@ class Transaction:
         #: commit when a persistent store backs the manager.  Sessions
         #: carry it forward for read-your-writes replica routing.
         self.commit_lsn: int | None = None
-        self._ops: list[_Op] = []
+        #: Staged ops by slot, in staging order; a cancelled create or
+        #: relate drops its slot.
+        self._ops: dict[int, Op] = {}
+        self._slots = itertools.count()
         # oid -> committed version when this txn first READ the object
         self._read_versions: dict[int, int] = {}
         # oid -> committed version when this txn first WROTE the object
@@ -125,7 +113,7 @@ class Transaction:
         self._write_versions: dict[int, int] = {}
         # read-your-writes overlay: staged attribute values per oid
         self._overlay: dict[int, dict[str, Any]] = {}
-        # oids created by this txn -> index into self._ops
+        # oids created by this txn -> their slot in self._ops
         self._created: dict[int, int] = {}
         self._deleted: set[int] = set()
 
@@ -142,6 +130,11 @@ class Transaction:
     @property
     def write_set(self) -> frozenset[int]:
         return frozenset(self._write_versions)
+
+    @property
+    def ops(self) -> Iterable[Op]:
+        """The staged ops, in the order commit applies them."""
+        return self._ops.values()
 
     @property
     def op_count(self) -> int:
@@ -246,51 +239,11 @@ class Transaction:
 
     def create(self, class_name: str, **attrs: Any) -> int:
         """Stage creation of a new object; returns its (final) OID."""
-        self._require_active()
-        pclass = self._schema.get_class(class_name)
-        if pclass.abstract:
-            raise SchemaError(f"class {class_name!r} is abstract")
-        if isinstance(pclass, RelationshipClass):
-            raise SchemaError(
-                f"use relate() to create instances of relationship class "
-                f"{class_name!r}"
-            )
-        for name in attrs:
-            pclass.get_attribute(name)  # unknown attribute fails fast
-        oid = self._schema._new_oid()
-        self._created[oid] = len(self._ops)
-        self._ops.append(
-            _Op(kind="create", oid=oid, class_name=class_name,
-                attrs=dict(attrs))
-        )
-        return oid
+        return self.stage(Op("create", 0, class_name, attrs))
 
     def set(self, oid: int, attr: str, value: Any) -> None:
         """Stage one attribute assignment (full validation at commit)."""
-        self._require_active()
-        if oid in self._deleted:
-            raise InstanceDeletedError(
-                f"object {oid} is deleted in this transaction"
-            )
-        if oid in self._created:
-            # Creation replays with its final attributes, so later sets
-            # on a staged object fold into the create op.
-            op = self._ops[self._created[oid]]
-            self._schema.get_class(op.class_name).get_attribute(attr)
-            op.attrs[attr] = value
-            return
-        record = self._snapshot_record(oid)
-        if record is _LIVE:
-            with self._manager.read_lock():
-                obj = self._schema.get_object(oid)
-                obj.pclass.get_attribute(attr)  # unknown attr fails fast
-                self._touch_write(oid)
-        else:
-            pclass = self._schema.get_class(record["class"])
-            pclass.get_attribute(attr)  # unknown attribute fails fast
-            self._touch_write(oid)
-        self._overlay.setdefault(oid, {})[attr] = value
-        self._ops.append(_Op(kind="set", oid=oid, attr=attr, value=value))
+        self.stage(Op("set", oid, attr=attr, value=value))
 
     def update(self, oid: int, **attrs: Any) -> None:
         for attr, value in attrs.items():
@@ -298,26 +251,7 @@ class Transaction:
 
     def delete(self, oid: int, cascade: bool = True) -> None:
         """Stage deletion (lifetime-dependency cascade runs at commit)."""
-        self._require_active()
-        if oid in self._deleted:
-            return
-        if oid in self._created:
-            # Created and deleted within this txn: the create op degrades
-            # to a no-op; nothing ever reaches the shared schema.
-            index = self._created.pop(oid)
-            self._ops[index] = _Op(kind="noop", oid=oid)
-            self._deleted.add(oid)
-            return
-        record = self._snapshot_record(oid)
-        if record is _LIVE:
-            with self._manager.read_lock():
-                self._schema.get_object(oid)  # must exist, not deleted
-                self._touch_write(oid)
-        else:
-            self._touch_write(oid)
-        self._deleted.add(oid)
-        self._overlay.pop(oid, None)
-        self._ops.append(_Op(kind="delete", oid=oid, cascade=cascade))
+        self.stage(Op("delete", oid, cascade=cascade))
 
     def relate(
         self,
@@ -333,57 +267,114 @@ class Transaction:
         relating through the same endpoint conflict, which is exactly
         the shared-endpoint write-write case the thesis's workflows hit.
         """
+        return self.stage(
+            Op("relate", 0, relationship, attrs, origin=origin,
+               destination=destination,
+               participants=dict(participants or {}))
+        )
+
+    def unrelate(self, rel_oid: int) -> None:
+        """Stage removal of a relationship instance."""
+        self.stage(Op("unrelate", rel_oid))
+
+    def stage(self, op: Op) -> int | None:
+        """Check ``op`` against this transaction's view and stage it —
+        the entry for parsed ops, and what the methods above call.
+        Returns the OID a create or relate allocated."""
         self._require_active()
-        relclass = self._schema.get_class(relationship)
-        if not isinstance(relclass, RelationshipClass):
-            raise SchemaError(f"{relationship!r} is not a relationship class")
-        if relclass.abstract:
-            raise SchemaError(
-                f"relationship class {relationship!r} is abstract"
+        kind, oid = op.kind, op.oid
+        if kind not in KINDS:
+            raise SchemaError(f"unknown op {kind!r}")
+        if kind == "create" or kind == "relate":
+            self._check_new(op)
+            oid = self._schema._new_oid()
+            self._created[oid] = slot = next(self._slots)
+            self._ops[slot] = op._replace(oid=oid)
+            return oid
+        if oid in self._deleted and kind != "unrelate":
+            if kind == "delete":
+                return None
+            raise InstanceDeletedError(
+                f"object {oid} is deleted in this transaction"
             )
-        for name in attrs:
-            relclass.get_attribute(name)
-        endpoints = [origin, destination, *list((participants or {}).values())]
-        for endpoint in endpoints:
+        if oid in self._created:
+            slot = self._created[oid]
+            made = self._ops[slot]
+            if kind == "set":
+                # Creation replays with its final attributes, so later
+                # sets on a staged object fold into the create op.
+                self._schema.get_class(made.class_name).get_attribute(op.attr)
+                self._ops[slot] = made._replace(
+                    attrs={**made.attrs, op.attr: op.value}
+                )
+                return None
+            if kind == "unrelate" and made.kind != "relate":
+                raise SchemaError(f"object {oid} is not a relationship")
+            # Created and removed within this txn: the slot is dropped,
+            # and nothing ever reaches the shared schema.
+            del self._ops[slot], self._created[oid]
+            self._deleted.add(oid)
+            return None
+        if kind == "set":
+            self._touch_existing(oid, op.attr)
+            self._overlay.setdefault(oid, {})[op.attr] = op.value
+        elif kind == "delete":
+            self._touch_existing(oid)
+            self._deleted.add(oid)
+            self._overlay.pop(oid, None)
+        else:
+            self._check_unrelate(oid)
+            self._deleted.add(oid)
+        self._ops[next(self._slots)] = op
+        return None
+
+    def _check_new(self, op: Op) -> None:
+        """Fail fast on a create or relate the schema would refuse; a
+        relate's endpoints join the write set."""
+        name = op.class_name
+        pclass = self._schema.get_class(name)
+        if op.kind == "create" and pclass.abstract:
+            raise SchemaError(f"class {name!r} is abstract")
+        if op.kind == "create" and isinstance(pclass, RelationshipClass):
+            raise SchemaError(
+                f"use relate() to create instances of relationship class "
+                f"{name!r}"
+            )
+        if op.kind == "relate" and not isinstance(pclass, RelationshipClass):
+            raise SchemaError(f"{name!r} is not a relationship class")
+        if pclass.abstract:
+            raise SchemaError(f"relationship class {name!r} is abstract")
+        for attr in op.attrs:
+            pclass.get_attribute(attr)  # unknown attribute fails fast
+        if op.kind == "create":
+            return
+        for endpoint in (op.origin, op.destination, *op.participants.values()):
             if endpoint in self._created:
                 continue
             if endpoint in self._deleted:
                 raise InstanceDeletedError(
                     f"object {endpoint} is deleted in this transaction"
                 )
-            record = self._snapshot_record(endpoint)
-            if record is _LIVE:
-                with self._manager.read_lock():
-                    self._schema.get_object(endpoint)
-                    self._touch_write(endpoint)
-            else:
-                self._touch_write(endpoint)
-        oid = self._schema._new_oid()
-        self._created[oid] = len(self._ops)
-        self._ops.append(
-            _Op(
-                kind="relate",
-                oid=oid,
-                class_name=relationship,
-                attrs=dict(attrs),
-                origin=origin,
-                destination=destination,
-                participants=dict(participants or {}),
-            )
-        )
-        return oid
+            self._touch_existing(endpoint)
 
-    def unrelate(self, rel_oid: int) -> None:
-        """Stage removal of a relationship instance."""
-        self._require_active()
-        if rel_oid in self._created:
-            index = self._created[rel_oid]
-            if self._ops[index].kind != "relate":
-                raise SchemaError(f"object {rel_oid} is not a relationship")
-            del self._created[rel_oid]
-            self._ops[index] = _Op(kind="noop", oid=rel_oid)
-            self._deleted.add(rel_oid)
-            return
+    def _touch_existing(self, oid: int, attr: str | None = None) -> None:
+        """Add a committed object to the write set; it must be visible,
+        and ``attr``, if given, one of its attributes."""
+        record = self._snapshot_record(oid)
+        if record is _LIVE:
+            with self._manager.read_lock():
+                obj = self._schema.get_object(oid)
+                if attr is not None:
+                    obj.pclass.get_attribute(attr)
+                self._touch_write(oid)
+        else:
+            if attr is not None:
+                self._schema.get_class(record["class"]).get_attribute(attr)
+            self._touch_write(oid)
+
+    def _check_unrelate(self, rel_oid: int) -> None:
+        """A committed relationship, with its live endpoints, joins the
+        write set."""
         record = self._snapshot_record(rel_oid)
         if record is _LIVE:
             with self._manager.read_lock():
@@ -410,8 +401,6 @@ class Transaction:
                 if exists is _LIVE and not self._schema.has_object(endpoint):
                     continue
                 self._touch_write(int(endpoint))
-        self._deleted.add(rel_oid)
-        self._ops.append(_Op(kind="unrelate", oid=rel_oid))
 
     # -- lifecycle ----------------------------------------------------------
 

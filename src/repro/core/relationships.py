@@ -207,14 +207,20 @@ class RelationshipRegistry:
             self._touching[oid].add(rel.oid)
 
     def unindex(self, rel: RelationshipInstance) -> None:
+        """Forget ``rel``; an endpoint key left with no edge goes too."""
         name = rel.pclass.name
-        self._by_class[name].discard(rel.oid)
-        self._out[(rel.origin_oid, name)].discard(rel.oid)
-        self._in[(rel.destination_oid, name)].discard(rel.oid)
-        self._touching[rel.origin_oid].discard(rel.oid)
-        self._touching[rel.destination_oid].discard(rel.oid)
-        for oid in rel.participant_oids.values():
-            self._touching[oid].discard(rel.oid)
+        oid = rel.oid
+        self._by_class[name].discard(oid)
+        ends = (rel.origin_oid, rel.destination_oid, *rel.participant_oids.values())
+        for index, key in (
+            (self._out, (rel.origin_oid, name)),
+            (self._in, (rel.destination_oid, name)),
+            *[(self._touching, end) for end in ends],
+        ):
+            edges = index[key]
+            edges.discard(oid)
+            if not edges:
+                del index[key]
 
     # -- semantic checks ------------------------------------------------------
 
@@ -254,14 +260,14 @@ class RelationshipRegistry:
         if sem.exclusive:
             rivals = self._exclusivity_rivals(relclass)
             for rival in rivals:
-                if self._in[(destination.oid, rival.name)]:
+                if self._in.get((destination.oid, rival.name)):
                     raise ExclusivityError(
                         f"object {destination.oid} already owned through "
                         f"exclusive relationship {rival.name!r}"
                     )
         max_out = sem.cardinality.max_out
         if max_out != UNBOUNDED:
-            current = len(self._out[(origin.oid, relclass.name)])
+            current = len(self._out.get((origin.oid, relclass.name), ()))
             if current >= max_out:
                 raise CardinalityError(
                     f"{relclass.name}: origin {origin.oid} already has "
@@ -269,7 +275,7 @@ class RelationshipRegistry:
                 )
         max_in = sem.effective_max_in
         if max_in != UNBOUNDED:
-            current = len(self._in[(destination.oid, relclass.name)])
+            current = len(self._in.get((destination.oid, relclass.name), ()))
             if current >= max_in:
                 raise CardinalityError(
                     f"{relclass.name}: destination {destination.oid} "
@@ -338,6 +344,14 @@ class RelationshipRegistry:
         for name in names:
             found |= self._in.get((oid, name), set())
         return self._load(found)
+
+    def lifetime_parts(self, oid: int) -> list[PObject]:
+        """What a delete of ``oid`` takes along: the destinations of
+        its lifetime-dependent edges."""
+        return [
+            rel.destination_object() for rel in self.outgoing(oid)
+            if rel.relationship_class.semantics.lifetime_dependent
+        ]
 
     def touching(self, oid: int) -> list[RelationshipInstance]:
         """All edges having ``oid`` as either endpoint."""

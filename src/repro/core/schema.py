@@ -564,15 +564,12 @@ class Schema(ObjectTable):
                     class_name=obj.pclass.name,
                 )
             )
-            dependents: list[PObject] = []
-            for rel in self.relationships.outgoing(obj.oid):
-                if rel.relationship_class.semantics.lifetime_dependent:
-                    if not cascade:
-                        raise SchemaError(
-                            f"object {obj.oid} has lifetime-dependent parts; "
-                            "delete with cascade=True"
-                        )
-                    dependents.append(rel.destination_object())
+            dependents = self.relationships.lifetime_parts(obj.oid)
+            if dependents and not cascade:
+                raise SchemaError(
+                    f"object {obj.oid} has lifetime-dependent parts; "
+                    "delete with cascade=True"
+                )
             for rel in self.relationships.touching(obj.oid):
                 self.unrelate(rel, _force=True)
             self._remove_object(obj)

@@ -51,6 +51,7 @@ from ..classification import GraphView
 from ..core.identity import OidRef
 from ..core.instances import PObject
 from ..core.metamodel import describe_class
+from ..core.ops import Op
 from ..core.relationships import RelationshipInstance
 from ..concurrency import Session
 from ..errors import (
@@ -1375,59 +1376,32 @@ class _Exchange:
     def _apply_ops(self, session: Session, ops: list[Any]) -> list[Any]:
         """Stage each op on the session's transaction, in order.
 
-        Staging is fail-fast: an invalid op raises (→ 400) and ops after
-        it are not staged; ops before it remain staged — the client
-        decides whether to commit, abort, or re-send.
+        ``get`` reads and ``update`` is a run of sets; every other body
+        is parsed by :meth:`Op.from_json` and staged.  Staging is
+        fail-fast: an invalid op raises (→ 400) and ops after it are not
+        staged; ops before it remain staged — the client decides whether
+        to commit, abort, or re-send.
         """
         txn = session.txn
         results: list[Any] = []
-        for op in ops:
-            if not isinstance(op, dict):
-                raise SchemaError("each op must be an object")
-            kind = op.get("op")
+        for body in ops:
+            kind = body.get("op") if isinstance(body, dict) else None
             try:
-                self._apply_one(txn, kind, op, results)
+                if kind == "get":
+                    values = txn.get(int(body["oid"]))
+                    results.append({"values": jsonable(values)})
+                    continue
+                if kind == "update":
+                    txn.update(int(body["oid"]), **body.get("attrs", {}))
+                    oid = None
+                else:
+                    oid = txn.stage(Op.from_json(body))
             except KeyError as exc:
                 raise SchemaError(
                     f"op {kind!r} is missing field {exc.args[0]!r}"
                 ) from None
+            results.append({"ok": True} if oid is None else {"oid": oid})
         return results
-
-    def _apply_one(
-        self, txn: Any, kind: Any, op: dict[str, Any], results: list[Any]
-    ) -> None:
-        if kind == "create":
-            oid = txn.create(op["class"], **op.get("attrs", {}))
-            results.append({"oid": oid})
-        elif kind == "set":
-            txn.set(int(op["oid"]), op["attr"], op.get("value"))
-            results.append({"ok": True})
-        elif kind == "update":
-            txn.update(int(op["oid"]), **op.get("attrs", {}))
-            results.append({"ok": True})
-        elif kind == "delete":
-            txn.delete(int(op["oid"]), cascade=op.get("cascade", True))
-            results.append({"ok": True})
-        elif kind == "relate":
-            oid = txn.relate(
-                op["class"],
-                int(op["origin"]),
-                int(op["destination"]),
-                participants={
-                    role: int(v)
-                    for role, v in op.get("participants", {}).items()
-                }
-                or None,
-                **op.get("attrs", {}),
-            )
-            results.append({"oid": oid})
-        elif kind == "unrelate":
-            txn.unrelate(int(op["oid"]))
-            results.append({"ok": True})
-        elif kind == "get":
-            results.append({"values": jsonable(txn.get(int(op["oid"])))})
-        else:
-            raise SchemaError(f"unknown op {kind!r}")
 
 
 class _RequestError(PrometheusError):

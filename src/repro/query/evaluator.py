@@ -240,8 +240,8 @@ class Evaluator:
     ) -> list[Any]:
         """A select's result from its post-WHERE binding environments,
         in binding order: ORDER BY keys and projection per row, stable
-        sort, DISTINCT, LIMIT.  The naive select and the coordinator's
-        scatter merge share it."""
+        sort, DISTINCT, LIMIT.  The naive select, a planned select that
+        must sort, and the coordinator's scatter merge share it."""
         kept: list[tuple[tuple[Any, ...], Any]] = []
         for env in envs:
             # ORDER BY keys are computed against the binding environment,
@@ -251,14 +251,7 @@ class Evaluator:
                 for item in query.order_by
             )
             kept.append((keys, self._project(query, env)))
-        if query.order_by:
-            kept.sort(key=lambda pair: pair[0])
-        results = [value for _, value in kept]
-        if query.distinct:
-            results = _distinct(results)
-        if query.limit is not None:
-            results = results[: query.limit]
-        return results
+        return _fold_tail(query, kept)
 
     def _naive_rows(
         self, query: SelectQuery, outer_env: dict[str, Any]
@@ -327,14 +320,7 @@ class Evaluator:
                 for item in query.order_by
             )
             kept.append((sort_keys, projected))
-        if query.order_by:
-            kept.sort(key=lambda pair: pair[0])
-        results = [value for _, value in kept]
-        if query.distinct:
-            results = _distinct(results)
-        if query.limit is not None:
-            results = results[: query.limit]
-        return results
+        return _fold_tail(query, kept)
 
     def _eval_grouped(
         self, expr: Node, rows: list[dict[str, Any]]
@@ -916,6 +902,21 @@ def _result_key(value: Any) -> Any:
         return value
     except TypeError:
         return repr(value)
+
+
+def _fold_tail(
+    query: SelectQuery, kept: list[tuple[tuple[Any, ...], Any]]
+) -> list[Any]:
+    """A select's ``(sort keys, projected)`` rows → its result: stable
+    sort on the keys, DISTINCT, LIMIT."""
+    if query.order_by:
+        kept.sort(key=lambda pair: pair[0])
+    results = [value for _, value in kept]
+    if query.distinct:
+        results = _distinct(results)
+    if query.limit is not None:
+        results = results[: query.limit]
+    return results
 
 
 def _distinct(values: list[Any]) -> list[Any]:

@@ -668,26 +668,12 @@ class SelectPlan:
         return self.source.rows(ev, outer_env, run)
 
     def execute(self, ev: "Evaluator", outer_env: Env) -> list[Any]:
-        from .evaluator import _distinct, _sort_key
-
         query = self.query
         run = _Run()
         self.annotate(ev)
         rows = self.source.rows(ev, outer_env, run)
         if query.order_by and not self.order_elided:
-            kept: list[tuple[tuple[Any, ...], Any]] = []
-            for env in rows:
-                keys = tuple(
-                    _sort_key(ev._eval(item.expression, env), item.descending)
-                    for item in query.order_by
-                )
-                kept.append((keys, ev._project(query, env)))
-            kept.sort(key=lambda pair: pair[0])
-            results = [value for _, value in kept]
-            if query.distinct:
-                results = _distinct(results)
-            if query.limit is not None:
-                results = results[: query.limit]
+            results = ev.fold(query, rows)
         else:
             out: Iterator[Any] = (
                 ev._project(query, env) for env in rows

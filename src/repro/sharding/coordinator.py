@@ -9,7 +9,7 @@ federation.Federation` whose nodes are the shards — every shard call
 goes through federation's circuit breakers, on the caller's thread
 (shards are in-process, so threads would overlap nothing).
 
-Every mutation goes through one op applier,
+Every mutation is one :class:`~repro.core.ops.Op` through one applier,
 :meth:`ShardedDatabase._apply_op`, so both topologies and both write
 paths take the *same* code path: creates go through the owning shard's
 normal ``schema.create`` (events, rules, MVCC ingestion all fire),
@@ -17,8 +17,11 @@ while relationship instances are always installed through
 :meth:`LocalShardClient.install_edge` — even when both endpoints are
 co-located — because a cross-shard edge cannot run endpoint liveness or
 cardinality validation and the two topologies must not diverge on
-validation side effects.  Each op is atomic on the one shard it lands
-on; a route is assigned only once its op is in.
+validation side effects.  Sets, deletes and unrelates run
+:meth:`Op.apply` on the owner shard; a delete whose cascade would cross
+shards is refused.  Each op is atomic on the one shard it lands on; a
+route is assigned only once its op is in and dropped with the object,
+so the router is the liveness check a relate's endpoints pass.
 
 Writes to the shard-key attribute relocate the object (and its
 outgoing edges) to the shard the map now assigns, keeping the pruning
@@ -41,11 +44,12 @@ from typing import Any, Callable
 
 from ..core.identity import OidAllocator
 from ..core.instances import PObject
+from ..core.ops import Op
 from ..core.relationships import RelationshipInstance
 from ..core.schema import Schema
 from ..engine.database import PrometheusDB
 from ..engine.federation import Federation
-from ..errors import PrometheusError, SnapshotError
+from ..errors import PrometheusError, SnapshotError, UnknownOidError
 from ..mvcc.view import SnapshotSchema
 from ..query import parse, typecheck
 from ..query.evaluator import Evaluator, QueryContext
@@ -110,9 +114,6 @@ class LocalShardClient:
 
     def get_attr(self, oid: int, name: str) -> Any:
         return self.db.schema.get_object(oid).get(name)
-
-    def set_attr(self, oid: int, name: str, value: Any) -> None:
-        self.db.schema.get_object(oid).set(name, value)
 
     def install_object(
         self, class_name: str, oid: int, attrs: dict[str, Any]
@@ -245,7 +246,41 @@ class LocalShardClient:
         return view
 
 
-class ShardedSession:
+class _OpWriter:
+    """The five writes, each handed to :meth:`_write` as one
+    :class:`~repro.core.ops.Op`; a create or relate takes a new OID from
+    the coordinator's allocator."""
+
+    allocator: OidAllocator
+    _write: Callable[[Op], None]
+
+    def create(self, class_name: str, **attrs: Any) -> int:
+        oid = self.allocator.allocate()
+        self._write(Op("create", oid, class_name, attrs))
+        return oid
+
+    def set(self, oid: int, name: str, value: Any) -> None:
+        self._write(Op("set", oid, attr=name, value=value))
+
+    def delete(self, oid: int, cascade: bool = True) -> None:
+        self._write(Op("delete", oid, cascade=cascade))
+
+    def relate(
+        self, rel_name: str, origin_oid: int, destination_oid: int,
+        **attrs: Any,
+    ) -> int:
+        oid = self.allocator.allocate()
+        self._write(
+            Op("relate", oid, rel_name, attrs, origin=origin_oid,
+               destination=destination_oid)
+        )
+        return oid
+
+    def unrelate(self, rel_oid: int) -> None:
+        self._write(Op("unrelate", rel_oid))
+
+
+class ShardedSession(_OpWriter):
     """Staged multi-op write session applied at commit.
 
     Operations are staged in call order and applied in that order at
@@ -255,27 +290,10 @@ class ShardedSession:
 
     def __init__(self, db: "ShardedDatabase") -> None:
         self._db = db
-        self._ops: list[tuple[Any, ...]] = []
+        self.allocator = db.allocator
+        self._ops: list[Op] = []
+        self._write = self._ops.append
         self.closed = False
-
-    def create(self, class_name: str, **attrs: Any) -> int:
-        oid = self._db.allocator.allocate()
-        self._ops.append(("create", oid, class_name, dict(attrs)))
-        return oid
-
-    def set(self, oid: int, name: str, value: Any) -> None:
-        self._ops.append(("set", oid, name, value))
-
-    def relate(
-        self, rel_name: str, origin_oid: int, destination_oid: int,
-        **attrs: Any,
-    ) -> int:
-        oid = self._db.allocator.allocate()
-        self._ops.append(
-            ("relate", oid, rel_name, origin_oid, destination_oid,
-             dict(attrs))
-        )
-        return oid
 
     def commit(self) -> int:
         """Run the ops through the coordinator's op applier inside every
@@ -297,8 +315,8 @@ class ShardedSession:
                         key_touched.add(touched)
         except BaseException:
             for op in self._ops:
-                if op[0] != "set":
-                    db.router.forget(op[1])
+                if op.kind == "create" or op.kind == "relate":
+                    db.router.forget(op.oid)
             raise
         for oid in sorted(key_touched):
             db._maybe_relocate(oid)
@@ -309,7 +327,7 @@ class ShardedSession:
         self._ops.clear()
 
 
-class ShardedDatabase:
+class ShardedDatabase(_OpWriter):
     """A set of shard databases behind one query/mutation facade.
 
     ``ddl`` is a callable applied to every shard schema *and* the
@@ -358,24 +376,10 @@ class ShardedDatabase:
 
     # -- mutations -----------------------------------------------------------
 
-    def create(self, class_name: str, **attrs: Any) -> int:
-        oid = self.allocator.allocate()
-        self._apply_op(("create", oid, class_name, attrs))
-        return oid
-
-    def relate(
-        self, rel_name: str, origin_oid: int, destination_oid: int,
-        **attrs: Any,
-    ) -> int:
-        oid = self.allocator.allocate()
-        self._apply_op(
-            ("relate", oid, rel_name, origin_oid, destination_oid, attrs)
-        )
-        return oid
-
-    def set(self, oid: int, name: str, value: Any) -> None:
-        if self._apply_op(("set", oid, name, value)) is not None:
-            self._maybe_relocate(oid)
+    def _write(self, op: Op) -> None:
+        """A direct write: the op, then a relocation if it set the key."""
+        if self._apply_op(op) is not None:
+            self._maybe_relocate(op.oid)
 
     def session(self) -> ShardedSession:
         return ShardedSession(self)
@@ -395,37 +399,66 @@ class ShardedDatabase:
     def seq(self) -> int:
         return len(self._history)
 
-    def _apply_op(self, op: tuple[Any, ...]) -> int | None:
-        """The one op applier, for direct writes and sessions alike:
-        ``("create", oid, class, attrs)``, ``("relate", oid, rel,
-        origin, destination, attrs)`` or ``("set", oid, name, value)``.
-        The op is atomic on its shard, so a direct write needs no other
-        shard's journal, and a new OID is routed once its op is in.
-        Returns the OID whose shard key the op set (for the caller to
-        relocate), else None."""
-        if op[0] == "set":
-            _, oid, name, value = op
-            self.shards[self._owner(oid)].set_attr(oid, name, value)
-            return oid if name == self.map.key_attr else None
-        if op[0] == "create":
-            _, oid, class_name, attrs = op
-            shard = self.map.route(attrs.get(self.map.key_attr), oid)
-            self.shards[shard].install_object(class_name, oid, attrs)
-        else:
-            _, oid, rel_name, origin_oid, destination_oid, attrs = op
-            if not self.meta.has_class(rel_name):
-                raise ShardingError(f"unknown relationship {rel_name!r}")
-            shard = self._owner(origin_oid)
+    def _apply_op(self, op: Op) -> int | None:
+        """The one op applier, for direct writes and sessions alike: a
+        create installs on its key's shard, a relate on its origin's,
+        the rest run :meth:`Op.apply` on their owner's.  Each op is
+        atomic on its shard; a new OID is routed once it is in, and a
+        removed one unrouted (journalled on its shard).  Returns the
+        OID whose shard key the op set, else None."""
+        if op.kind == "create":
+            shard = self.map.route(op.attrs.get(self.map.key_attr), op.oid)
+            self.shards[shard].install_object(op.class_name, op.oid, op.attrs)
+        elif op.kind == "relate":
+            if not self.meta.has_class(op.class_name):
+                raise ShardingError(f"unknown relationship {op.class_name!r}")
+            shard = self._owner(op.origin)
+            if op.destination not in self.router:  # deleted, or never made
+                raise UnknownOidError(op.destination)
             self.shards[shard].install_edge(
-                rel_name, oid, origin_oid, destination_oid, attrs
+                op.class_name, op.oid, op.origin, op.destination, op.attrs
             )
-        self.router.assign(oid, shard)
+        else:
+            shard = self._owner(op.oid)
+            gone = [op.oid] if op.kind == "unrelate" else []
+            if op.kind == "delete":
+                gone = self._check_delete(op.oid, shard)
+            schema = self.shards[shard].db.schema
+            op.apply(schema)
+            for oid in gone:  # the journal routes it again on an undo
+                self.router.forget(oid)
+                schema.journal.record(partial(self.router.assign, oid, shard))
+            return op.oid if op.attr == self.map.key_attr else None
+        self.router.assign(op.oid, shard)
         return None
+
+    def _check_delete(self, oid: int, shard: str) -> set[int]:
+        """The OIDs a delete removes: the object, the parts its
+        lifetime-dependent edges take along (``lifetime_parts``, the
+        rule ``Schema.delete`` follows) and every edge touching them.
+        Refuses, before anything changes, if one such edge joins an
+        object off ``shard``: the cascade would cross shards."""
+        registry = self.shards[shard].db.schema.relationships
+        todo, seen = [oid], set()
+        while todo:
+            seen.add(current := todo.pop())
+            for client in self.shards.values():
+                for rel in client.db.schema.relationships.touching(current):
+                    ends = sorted(rel.endpoints().values())
+                    if {self.router.shard_of(end) for end in ends} != {shard}:
+                        raise ShardingError(
+                            f"delete of {oid} crosses shards: edge "
+                            f"{rel.oid} joins {ends}"
+                        )
+                    seen.add(rel.oid)
+            parts = registry.lifetime_parts(current)
+            todo += [part.oid for part in parts if part.oid not in seen]
+        return seen
 
     def _owner(self, oid: int) -> str:
         shard = self.router.shard_of(oid)
-        if shard is None:
-            raise ShardingError(f"oid {oid} is not routed to any shard")
+        if shard is None:  # never created, or deleted
+            raise UnknownOidError(oid)
         return shard
 
     # -- relocation ----------------------------------------------------------
@@ -436,9 +469,10 @@ class ShardedDatabase:
         Keeps the pruning invariant — an object's placement always
         matches the current map — without which a key-range predicate
         could silently miss rows on a pruned-out shard."""
-        current = self._owner(oid)
-        client = self.shards[current]
-        key = client.get_attr(oid, self.map.key_attr)
+        current = self.router.shard_of(oid)
+        if current is None:
+            return  # deleted after its key was set
+        key = self.shards[current].get_attr(oid, self.map.key_attr)
         target = self.map.route(key, oid)
         if target == current:
             return

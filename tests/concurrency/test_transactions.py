@@ -255,3 +255,19 @@ class TestManagerBookkeeping:
         db.schema.get_object(taxon).set("rank", "bumped")
         db.commit()
         assert db.transactions.version_of(taxon) > before
+
+    @pytest.mark.parametrize("cancel", ["delete", "unrelate"])
+    def test_all_cancelled_is_an_empty_commit(self, db, taxon, cancel):
+        manager = db.transactions
+        published = manager.published_snapshot
+        empty = manager.stats.empty_commits
+        txn = db.begin()
+        if cancel == "delete":
+            txn.delete(txn.create("Taxon", name="Ghost"))
+        else:
+            txn.unrelate(txn.relate("ChildOf", taxon, taxon))
+        assert txn.op_count == 0 and list(txn.ops) == []
+        assert txn.commit() == published[0]
+        assert txn.commit_ts == published[0]
+        assert manager.published_snapshot == published
+        assert manager.stats.empty_commits == empty + 1
