@@ -311,9 +311,26 @@ class Transaction:
             if kind == "unrelate" and made.kind != "relate":
                 raise SchemaError(f"object {oid} is not a relationship")
             # Created and removed within this txn: the slot is dropped,
-            # and nothing ever reaches the shared schema.
-            del self._ops[slot], self._created[oid]
-            self._deleted.add(oid)
+            # and nothing ever reaches the shared schema.  As in
+            # ``Schema.delete``, its staged edges go too, and so do the
+            # parts its lifetime-dependent edges hold.
+            get_class = self._schema.get_class
+            edges = [
+                e for e in self._ops.values() if e.kind == "relate"
+                and oid in (e.origin, e.destination, *e.participants.values())
+            ]
+            parts = [
+                e.destination for e in edges if e.origin == oid
+                and get_class(e.class_name).semantics.lifetime_dependent
+            ]
+            if parts and not op.cascade:
+                raise SchemaError(f"object {oid} has lifetime-dependent "
+                                  "parts; delete with cascade=True")
+            for dropped in (oid, *(edge.oid for edge in edges)):
+                del self._ops[self._created.pop(dropped)]
+                self._deleted.add(dropped)
+            for part in parts:
+                self.stage(Op("delete", part))
             return None
         if kind == "set":
             self._touch_existing(oid, op.attr)

@@ -97,7 +97,9 @@ class PClass:
         # Filled in by Schema.register_class:
         self.schema: "Schema | None" = None
         self.superclasses: tuple[PClass, ...] = ()
-        self.subclasses: list[PClass] = []
+        #: This class's name and every (transitive) subclass's, kept up
+        #: to date by registration: what a polymorphic extent spans.
+        self.subtree_names: list[str] = [name]
         self._mro: tuple[PClass, ...] = ()
         self._all_attributes: dict[str, Attribute] | None = None
         self._all_methods: dict[str, Method] | None = None
@@ -108,8 +110,6 @@ class PClass:
     def _bind(self, schema: "Schema", supers: tuple["PClass", ...]) -> None:
         self.schema = schema
         self.superclasses = supers
-        for sup in supers:
-            sup.subclasses.append(self)
         self._mro = tuple(
             _c3_merge(
                 [[self]]
@@ -117,6 +117,8 @@ class PClass:
                 + [list(supers)]
             )
         )
+        for ancestor in self._mro[1:]:
+            ancestor.subtree_names.append(self.name)
         self._all_attributes = None
         self._all_methods = None
 
@@ -180,15 +182,9 @@ class PClass:
 
     def descendants(self) -> Iterator["PClass"]:
         """Yield this class and all (transitive) subclasses."""
-        stack: list[PClass] = [self]
-        visited: set[int] = set()
-        while stack:
-            klass = stack.pop()
-            if id(klass) in visited:
-                continue
-            visited.add(id(klass))
-            yield klass
-            stack.extend(klass.subclasses)
+        yield self
+        for name in self.subtree_names[1:]:
+            yield self.schema.get_class(name)  # type: ignore[union-attr]
 
     def defaults(self) -> dict[str, Any]:
         """Initial attribute values for a fresh instance."""

@@ -324,8 +324,7 @@ class RelationshipRegistry:
         """The relationship class plus its subclasses (polymorphic query)."""
         if relationship is None:
             return list(self._by_class.keys())
-        klass = self._schema.get_class(relationship)
-        return [c.name for c in klass.descendants()]
+        return self._schema.get_class(relationship).subtree_names
 
     def outgoing(
         self, oid: int, relationship: str | None = None

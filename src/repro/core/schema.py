@@ -210,22 +210,28 @@ class ObjectTable:
 
     def extent(self, class_name: str, polymorphic: bool = True) -> list[PObject]:
         """Instances of ``class_name`` (and subclasses unless disabled)."""
-        pclass = self.get_class(class_name)
         oids: set[int] = set()
-        if polymorphic:
-            for klass in pclass.descendants():
-                oids |= self._extents.get(klass.name, set())
-        else:
-            oids |= self._extents.get(class_name, set())
+        for name in self._names_under(class_name, polymorphic):
+            oids |= self._extents.get(name, set())
         return [self._objects[oid] for oid in sorted(oids) if oid in self._objects]
 
     def count(self, class_name: str, polymorphic: bool = True) -> int:
+        names = self._names_under(class_name, polymorphic)
+        return sum(len(self._extents.get(name, ())) for name in names)
+
+    def _names_under(self, class_name: str, polymorphic: bool) -> list[str]:
         pclass = self.get_class(class_name)
-        if polymorphic:
-            return sum(
-                len(self._extents.get(k.name, ())) for k in pclass.descendants()
-            )
-        return len(self._extents.get(class_name, ()))
+        return pclass.subtree_names if polymorphic else [class_name]
+
+    def member(self, oid: Any, class_name: str) -> PObject | None:
+        """The object of ``extent(class_name)`` whose OID ``== oid`` (so
+        ``3.0`` finds OID 3), or None; an unhashable ``oid`` finds none."""
+        try:
+            obj = self._objects.get(oid)
+        except TypeError:
+            return None
+        names = self.get_class(class_name).subtree_names
+        return obj if obj is not None and obj.pclass.name in names else None
 
     def all_objects(self) -> Iterator[PObject]:
         for oid in sorted(self._objects):

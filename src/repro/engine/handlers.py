@@ -62,6 +62,7 @@ from ..errors import (
     SessionError,
     SnapshotError,
     StalePrimaryError,
+    UnknownOidError,
     WireError,
 )
 from ..telemetry import propagation
@@ -1396,6 +1397,8 @@ class _Exchange:
                     oid = None
                 else:
                     oid = txn.stage(Op.from_json(body))
+            except UnknownOidError:
+                raise  # a KeyError too, but it names an OID, not a field
             except KeyError as exc:
                 raise SchemaError(
                     f"op {kind!r} is missing field {exc.args[0]!r}"

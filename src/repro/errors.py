@@ -31,6 +31,9 @@ class UnknownOidError(StorageError, KeyError):
         super().__init__(f"unknown oid: {oid}")
         self.oid = oid
 
+    def __str__(self) -> str:  # not KeyError's quoted repr
+        return self.args[0]
+
 
 class TransactionError(StorageError):
     """Illegal transaction state transition (e.g. commit after abort)."""

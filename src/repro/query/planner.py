@@ -2,11 +2,12 @@
 
 The planner compiles a parsed ``SELECT`` into a physical plan tree
 (:mod:`repro.query.plans`), choosing per-binding access paths — extent
-scan, index equality probe, B-tree range probe, index-ordered scan that
-elides the sort — from a simple cost model fed by live extent and index
-cardinality statistics.  WHERE conjuncts are pushed down to the earliest
-binding that can evaluate them; everything downstream of the bindings is
-a lazy generator pipeline, so ``LIMIT`` stops pulling early.
+scan, OID probe, index equality probe, B-tree range probe, index-ordered
+scan that elides the sort — from a simple cost model fed by live extent
+and index cardinality statistics.  WHERE conjuncts are pushed down to
+the earliest binding that can evaluate them; everything downstream of
+the bindings is a lazy generator pipeline, so ``LIMIT`` stops pulling
+early.
 
 Plan caching: the AST is *normalized* — every literal is replaced by a
 synthetic parameter slot (``$__plan_lit_N``) — so queries differing only
@@ -59,6 +60,7 @@ from .plans import (
     BindExtent,
     BindIndexEq,
     BindIndexRange,
+    BindOid,
     BindOrderedScan,
     BindTraverse,
     ConstRow,
@@ -485,6 +487,13 @@ class Planner:
         scan_cost = child.est_cost + _ROW_COST + scan_rows
         candidates.append((scan_cost, scan_rows, "extent_scan", scan))
 
+        # ``v.oid`` reads a participant instead when a relationship
+        # class under ``class_name`` names a role ``oid``.
+        oid_probe_ok = not any(
+            "oid" in getattr(schema.get_class(name), "participant_roles", ())
+            for name in schema.get_class(class_name).subtree_names
+        )
+        oid_keys: list[Node] = []
         eq_seeds: list[tuple[str, Node]] = []
         bounds: dict[str, dict[str, tuple[Node, bool]]] = {}
         for conjunct in pending:
@@ -505,7 +514,10 @@ class Planner:
                 if not seed_value_ok(value_side):
                     continue
                 if conjunct.op == "=":
-                    eq_seeds.append((attr_side.name, value_side))
+                    if attr_side.name == "oid" and oid_probe_ok:
+                        oid_keys.append(value_side)
+                    else:
+                        eq_seeds.append((attr_side.name, value_side))
                     break
                 if op_name in _RANGE_OPS:
                     slot = bounds.setdefault(attr_side.name, {})
@@ -514,6 +526,11 @@ class Planner:
                     else:
                         slot.setdefault("high", (value_side, op_name == "<="))
                     break
+
+        if oid_keys:
+            probe = BindOid(child, var, class_name, oid_keys[0])
+            cost = child.est_cost + child.est_rows * _ROW_COST
+            candidates.append((cost, child.est_rows, "oid_probe", probe))
 
         if catalog is not None:
             for attr, value_node in eq_seeds:

@@ -10,6 +10,9 @@ satisfied and nothing is materialised before it has to be.
 Access-path operators (the leaves of a binding chain):
 
 * :class:`BindExtent` — full extent scan of a class;
+* :class:`BindOid` — the one object a ``var.oid = key`` conjunct pins,
+  read from the object table (no index needed; the conjunct is still
+  applied);
 * :class:`BindIndexEq` — hash/B-tree equality probe seeding the
   candidate set from an index (the probed conjunct is *not* elided: the
   WHERE clause is still applied in full, exactly like the naive
@@ -245,25 +248,55 @@ class BindExtent(PlanOp):
         return {"bind": self.variable, "class": self.class_name}
 
     def rows(self, ev: "Evaluator", env: Env, run: _Run) -> Iterator[Env]:
-        schema = ev.context.schema
-        info = ev.context.plan
         for parent in self.children[0].rows(ev, env, run):
             if self.class_name in parent:
                 # A (sub)query variable shadows the class name: the
                 # source is that value, exactly as in naive evaluation.
                 values = _as_collection(parent[self.class_name])
             else:
-                info.extent_scans += 1
-                if id(self) not in run.paths_seen:
-                    run.paths_seen.add(id(self))
-                    info.access_paths.append(f"scan:{self.class_name}")
-                values = schema.extent(self.class_name)
+                values = self._read(ev, parent, run)
             counts, key = run.counts, id(self)
             for value in values:
                 counts[key] = counts.get(key, 0) + 1
                 child = dict(parent)
                 child[self.variable] = value
                 yield child
+
+    def _read(self, ev: "Evaluator", parent: Env, run: _Run) -> list[Any]:
+        info = ev.context.plan
+        info.extent_scans += 1
+        if id(self) not in run.paths_seen:
+            run.paths_seen.add(id(self))
+            info.access_paths.append(f"scan:{self.class_name}")
+        return ev.context.schema.extent(self.class_name)
+
+
+class BindOid(BindExtent):
+    """Bind ``var`` to the extent member whose OID equals a key.
+
+    Exact by construction: :meth:`ObjectTable.member` compares with
+    Python ``==``, as the naive ``v.oid = key`` filter does, and the
+    conjunct stays in the WHERE clause.
+    """
+
+    op = "oid_probe"
+
+    def __init__(
+        self, child: PlanOp, variable: str, class_name: str, value_node: Node
+    ) -> None:
+        super().__init__(child, variable, class_name)
+        self.value_node = value_node
+
+    def describe(self) -> dict[str, Any]:
+        return {**super().describe(), "key": self.value_node.unparse()}
+
+    def _read(self, ev: "Evaluator", parent: Env, run: _Run) -> list[Any]:
+        if id(self) not in run.paths_seen:
+            run.paths_seen.add(id(self))
+            ev.context.plan.access_paths.append(f"oid:{self.class_name}")
+        key = ev._eval(self.value_node, parent)
+        hit = ev.context.schema.member(key, self.class_name)
+        return [] if hit is None else [hit]
 
 
 class BindIndexEq(PlanOp):

@@ -53,7 +53,7 @@ from ..errors import PrometheusError, SnapshotError, UnknownOidError
 from ..mvcc.view import SnapshotSchema
 from ..query import parse, typecheck
 from ..query.evaluator import Evaluator, QueryContext
-from ..query.nodes import QueryPlanInfo, SelectQuery
+from ..query.nodes import Literal, Parameter, QueryPlanInfo, SelectQuery
 from ..telemetry import DISABLED, Telemetry
 from .planner import DistributedPlan, DistributedPlanner
 from .router import OidRouter
@@ -764,12 +764,14 @@ class ShardedDatabase(_OpWriter):
         # map's range owners: a snapshot read may predate a rebalance
         # that removed a shard from the ring, and its history lives on.
         shards = tuple(sorted(self.shards))
+        pinned = None if vector is not None else self._pinned(plan, params)
+        asked = shards if pinned is None else pinned
         exports = self._fanout(
-            shards,
+            shards if plan.extents else asked,
             lambda client: client.export_records(
                 list(plan.extents),
                 self._shard_lsn(client.name, vector),
-                query=plan.pushed_text,
+                query=plan.pushed_text if client.name in asked else None,
                 params=params,
             ),
         )
@@ -802,6 +804,25 @@ class ShardedDatabase(_OpWriter):
             sorted(items.items()),
             as_of if as_of is not None else self.seq,
         )
+
+    def _pinned(
+        self, plan: DistributedPlan, params: dict[str, Any] | None
+    ) -> tuple[str, ...] | None:
+        """Where a live gather's OID-pinned first binding can be: the
+        router's owner of the key (none when unrouted).  None — ask
+        every shard — without a pin, a parameter or a hashable key."""
+        pin = plan.pin
+        if isinstance(pin, Literal):
+            key = pin.value
+        elif isinstance(pin, Parameter) and params and pin.name in params:
+            key = params[pin.name]
+        else:
+            return None
+        try:
+            shard = self.router.shard_of(key)
+        except TypeError:
+            return None
+        return () if shard is None else (shard,)
 
     def _shard_lsn(
         self, name: str, vector: dict[str, int] | None

@@ -42,7 +42,9 @@ What a gather ships (why the view it builds is exact):
   first binding's class is the *only* extent named, it ships filtered
   by the top-level ``and`` conjuncts that mention only the binding
   variable and pass the same shard-safety walk scatter uses.  A row
-  those conjuncts reject can never reach the result.
+  those conjuncts reject can never reach the result.  When one of them
+  pins ``v.oid``, a live read asks only the shard the router places
+  that OID on: a live object is on exactly one shard.
 - The relationship classes its traversals name.  When every traversal
   has a finite ``max_depth``, no evaluation path takes more than H
   hops (H = the sum of those depths: the AST is a tree, so a path
@@ -74,6 +76,7 @@ from ..query.nodes import (
     MethodCall,
     Node,
     OrderItem,
+    Parameter,
     ProjectionItem,
     SelectQuery,
     SetOperation,
@@ -126,6 +129,10 @@ class DistributedPlan:
     #: rounds from the shipped objects.
     traversed: tuple[str, ...] = ()
     hop_bound: int | None = None
+    #: Gather: the key of a pushed ``v.oid = <literal or $param>``
+    #: conjunct — a live read exports the first binding from the one
+    #: shard the router places that OID on.
+    pin: Node | None = None
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly shape for distributed EXPLAIN output."""
@@ -307,9 +314,9 @@ class DistributedPlanner:
             traversed = set()
         elif traversed:
             hop_bound = sum(node.max_depth or 0 for node in traversals)
-        pushed = None
+        pushed = pin = None
         if len(named) == 1 and isinstance(query, SelectQuery):
-            pushed = self._first_binding_filter(query, named[0])
+            pushed, pin = self._first_binding_filter(query, named[0])
             if pushed is not None:
                 extents.discard(named[0].name)
         return DistributedPlan(
@@ -320,6 +327,7 @@ class DistributedPlanner:
             extents=tuple(sorted(extents)),
             traversed=tuple(sorted(traversed)),
             hop_bound=hop_bound,
+            pin=pin,
         )
 
     def _reads_any_edge(self, nodes: list[Node]) -> bool:
@@ -341,13 +349,14 @@ class DistributedPlanner:
 
     def _first_binding_filter(
         self, query: SelectQuery, extent: Variable
-    ) -> str | None:
+    ) -> tuple[str | None, Node | None]:
         """Per-shard POOL text selecting the first binding's rows that
-        can reach the result, or None when nothing narrows them."""
+        can reach the result (None when nothing narrows them), and the
+        key of a ``v.oid = <literal or $param>`` conjunct among them."""
         if not query.bindings or query.bindings[0].source is not extent:
-            return None
+            return None, None
         if self.schema.get_class(extent.name).is_relationship_class:
-            return None
+            return None, None
         variable = query.bindings[0].variable
         kept = [
             conjunct
@@ -360,15 +369,23 @@ class DistributedPlanner:
             )
         ]
         if not kept:
-            return None
+            return None, None
         where = kept[0]
         for conjunct in kept[1:]:
             where = Binary("and", where, conjunct)
-        return SelectQuery(
+        pinned = AttributeAccess(Variable(variable), "oid")
+        pins = [
+            value
+            for c in kept if isinstance(c, Binary) and c.op == "="
+            for side, value in ((c.left, c.right), (c.right, c.left))
+            if side == pinned and isinstance(value, (Literal, Parameter))
+        ]
+        text = SelectQuery(
             projection=(ProjectionItem(Variable(variable), None),),
             bindings=(query.bindings[0],),
             where=where,
         ).unparse()
+        return text, (pins[0] if pins else None)
 
     def _has_non_count_aggregate(self, query: SelectQuery) -> bool:
         aggregate = self._aggregate_call(query)

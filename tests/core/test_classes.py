@@ -121,3 +121,33 @@ class TestIntrospection:
     def test_relationship_flag(self, schema):
         assert not schema.get_class("Person").is_relationship_class
         assert schema.get_class("WorksFor").is_relationship_class
+
+
+class TestSubtreeNames:
+    """Polymorphic extents span the subtree names each class keeps."""
+
+    def test_subclass_registered_after_first_use(self):
+        schema = Schema()
+        schema.define_class("A", [Attribute("n", T.INTEGER)])
+        schema.define_class("B", superclasses=("A",))
+        schema.define_relationship("R", "A", "A")
+        a, b = schema.create("A", n=1), schema.create("B", n=2)
+        schema.relate("R", a, b)
+        assert [o.oid for o in schema.extent("A")] == [a.oid, b.oid]
+        assert schema.count("A") == 2
+        assert len(schema.relationships.outgoing(a.oid, "R")) == 1
+        # Diamond: D reaches A through both B and C, and is listed once.
+        schema.define_class("C", superclasses=("A",))
+        schema.define_class("D", superclasses=("B", "C"))
+        schema.define_relationship("S", "A", "A", superclasses=("R",))
+        d = schema.create("D", n=4)
+        schema.relate("S", a, d)
+        assert [o.oid for o in schema.extent("A")] == [a.oid, b.oid, d.oid]
+        assert [o.oid for o in schema.extent("C")] == [d.oid]
+        assert schema.count("A") == 3 and schema.count("B") == 2
+        assert schema.count("A", polymorphic=False) == 1
+        assert len(schema.relationships.outgoing(a.oid, "R")) == 2
+        assert schema.get_class("A").subtree_names == ["A", "B", "C", "D"]
+        assert {k.name for k in schema.get_class("A").descendants()} == set(
+            schema.get_class("A").subtree_names
+        )

@@ -188,6 +188,9 @@ class TestRefusals:
              "op field 'participants' must be an object"),
             ({"op": "frobnicate"}, "unknown op 'frobnicate'"),
             ({"oid": 1}, "unknown op None"),
+            ({"op": "set", "oid": 999, "attr": "rank", "value": 1},
+             "unknown oid: 999"),
+            ({"op": "delete", "oid": 999}, "unknown oid: 999"),
         ],
     )
     def test_exact_400_body(self, op, message):

@@ -152,6 +152,44 @@ class QueryGen:
             return f"{value} {flipped} {var}.{attr}"
         return f"{var}.{attr} {op} {value}"
 
+    def _oid_key(self, category: str) -> str:
+        """A key for ``v.oid = key``.  Objects are created Base/Leaf
+        first (30–44 of them), then Cat (8–15), then edges, so small
+        OIDs are Base rows and the 31–60 band is mostly Cat or edges."""
+        rng = self.rng
+        own, other = ((1, 30), (31, 61)) if category == "base" else (
+            (31, 61), (1, 30)
+        )
+        roll = rng.random()
+        if roll < 0.30:
+            return str(rng.randrange(*own))  # usually an existing member
+        if roll < 0.50:
+            return f"{rng.randrange(*own)}.{rng.choice((0, 0, 5))}"  # float
+        if roll < 0.65:
+            return rng.choice(("true", "true", "false"))  # bool == 1 / 0
+        if roll < 0.75:
+            return str(rng.randrange(*other))  # another class's object
+        if roll < 0.85:
+            return str(rng.choice((0, -1, 10**6)))  # no such object
+        if roll < 0.93:
+            return f'"{rng.randrange(*own)}"'  # a string never equals
+        return "null"
+
+    def _oid_comparison(self, var: str, cats: dict[str, str]) -> str:
+        """``v.oid = key``: the predicate the OID probe serves."""
+        rng = self.rng
+        others = [v for v in cats if v != var]
+        if others and rng.random() < 0.25:
+            # Keyed by another binding's int attribute (a join key).
+            other = rng.choice(others)
+            key = f"{other}.{_CATEGORIES[cats[other]][2]}"
+        else:
+            key = self._oid_key(cats[var])
+        op = rng.choice(("=", "=", "=", "!="))
+        if rng.random() < 0.2:
+            return f"{key} {op} {var}.oid"
+        return f"{var}.oid {op} {key}"
+
     def _predicate(
         self, cats: dict[str, str], depth: int = 0
     ) -> str:
@@ -167,7 +205,9 @@ class QueryGen:
             return f"(not {self._predicate(cats, depth + 1)})"
         if roll < 0.32:
             return f"{var}.{_CATEGORIES[cats[var]][1]}"
-        if len(variables) > 1 and roll < 0.40:
+        if roll < 0.36:
+            return self._oid_comparison(var, cats)
+        if len(variables) > 1 and roll < 0.44:
             # Cross-variable (possibly cross-category) comparison on a
             # type-compatible attribute pair: size/area or rank/region.
             a, b = rng.sample(variables, 2)
@@ -215,6 +255,11 @@ class QueryGen:
         if combo:
             n_conjuncts = max(1, n_conjuncts)
         conjuncts = [self._predicate(cats) for _ in range(n_conjuncts)]
+        if rng.random() < 0.15:
+            # A top-level ``v.oid = key`` conjunct: the OID-probe shape.
+            conjuncts.insert(0, self._oid_comparison(
+                rng.choice(variables), cats
+            ))
         projection: str | None = None
         roll = rng.random()
         proj_var = rng.choice(variables)
